@@ -305,7 +305,7 @@ class EnCore:
             raise RuntimeError("model_payload() requires a trained model")
         if self._model_payload_cache is None:
             from repro.core.persistence import model_to_dict
-            from repro.engine.batch import encode_model_payload
+            from repro.engine.sharding import encode_model_payload
 
             self._model_payload_cache = encode_model_payload(
                 model_to_dict(self.model)
@@ -468,7 +468,9 @@ class EnCore:
         ``workers > 1`` fans target chunks out to a process pool
         (``repro.engine.batch``); each worker rebuilds the detector from
         the model snapshot, and reports stream back to the caller as
-        shards complete.
+        shards complete.  A shard whose worker crashes or stalls is
+        recovered exactly as in :meth:`train` (retry, bisect, quarantine
+        under stage ``worker``).
         """
         if self.model is None or self._detector is None:
             raise RuntimeError(
@@ -486,11 +488,11 @@ class EnCore:
         from repro.engine.batch import BatchChecker
 
         checker = BatchChecker(
-            self.worker_config(),
-            workers=workers, chunk_size=chunk_size, drift=self.drift,
-            quarantine=self.quarantine, fault_plan=self.fault_plan,
-            config_payload=self.worker_payload(),
-            model_bytes=self.model_payload(),
+            self.worker_config(), self.model_payload(),
+            workers=workers, chunk_size=chunk_size,
+            retry=self.retry_policy, shard_timeout=self.shard_timeout,
+            fault_plan=self.fault_plan, config_payload=self.worker_payload(),
+            quarantine=self.quarantine, drift=self.drift,
             cache=self._cache, cache_salt=self.assembler.cache_salt,
         )
         yield from checker.stream(images)
@@ -498,10 +500,11 @@ class EnCore:
     def _check_guarded(self, image: SystemImage):
         """One target under the error policy; ``None`` when quarantined.
 
-        Mirrors the worker-side isolation in ``repro.engine.batch`` so
-        fleet checking behaves identically at any worker count.  The
-        single-target :meth:`check` stays fail-fast regardless of
-        policy: with exactly one target there is nothing to salvage.
+        Also what each check worker runs per target
+        (:func:`repro.engine.sharding.run_shard`), so fleet checking
+        behaves identically at any worker count.  The single-target
+        :meth:`check` stays fail-fast regardless of policy: with exactly
+        one target there is nothing to salvage.
         """
         from repro.core.resilience import ErrorPolicy, record_from_exception
 

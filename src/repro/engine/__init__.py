@@ -2,10 +2,11 @@
 
 ``repro.core`` implements *what* each stage computes; this package owns
 *how* stages execute — stage boundaries and their serialisable
-artifacts (:mod:`~repro.engine.stages`, :mod:`~repro.engine.artifacts`),
-sharded parallel corpus assembly over a process pool
-(:mod:`~repro.engine.sharding`), and streamed parallel batch checking
-(:mod:`~repro.engine.batch`).
+artifacts (:mod:`~repro.engine.stages`, :mod:`~repro.engine.artifacts`)
+and one shard runner (:mod:`~repro.engine.sharding`) that fans both
+corpus assembly and fleet checking (:mod:`~repro.engine.batch`) over a
+process pool: one worker entry, one result envelope
+(:class:`~repro.engine.artifacts.ShardResult`), one fault contract.
 
 The contract throughout: executing a stage with ``workers=N`` for any N
 (and any chunk size) produces results identical to the serial run.
@@ -15,7 +16,6 @@ target is independent and reports are re-ordered to input order.
 """
 
 from repro.engine.artifacts import (
-    CheckResult,
     ShardResult,
     assembled_system_from_dict,
     assembled_system_to_dict,
@@ -25,14 +25,12 @@ from repro.engine.artifacts import (
 )
 from repro.engine.batch import BatchChecker
 from repro.engine.sharding import ShardedAssembler, chunked, default_chunk_size
-from repro.engine.stages import StageEngine, StageSpec, render_stage_graph, stage_graph
+from repro.engine.stages import StageSpec, render_stage_graph, stage_graph
 
 __all__ = [
     "BatchChecker",
-    "CheckResult",
     "ShardResult",
     "ShardedAssembler",
-    "StageEngine",
     "StageSpec",
     "assembled_system_from_dict",
     "assembled_system_to_dict",

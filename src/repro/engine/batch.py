@@ -3,12 +3,14 @@
 Checking is per-target independent — "since the checking and the
 learning are cleanly separated, the learned rules can be reused to
 check different systems" (paper §3) — so a fleet of targets shards
-naturally.  Each worker receives a codec-framed task carrying the
-hoisted config and model payloads (each encoded once per pool lifetime,
-cached per worker by digest — see :mod:`repro.engine.pool`) plus a
-chunk of individually-framed target snapshots, and returns a
-:class:`~repro.engine.artifacts.CheckResult` as compact codec bytes
-with full-precision warning scores, so sharded reports are exactly the
+exactly like a training corpus.  :class:`BatchChecker` is the check
+kind of :class:`~repro.engine.sharding.ShardRunner`: its tasks carry
+the hoisted config and model payloads (each encoded once per pool
+lifetime, cached per worker by digest — see :mod:`repro.engine.pool`)
+plus a chunk of individually-framed target snapshots, and
+:func:`~repro.engine.sharding.run_shard` hands back one
+:class:`~repro.engine.artifacts.ShardResult` per shard whose reports
+keep full-precision warning scores, so sharded reports are exactly the
 serial ones.
 
 When a result cache is attached (:mod:`repro.engine.cache`), its disk
@@ -17,320 +19,75 @@ an unchanged image skips parse → type → augment entirely on re-check.
 
 Reports stream back in input order as shards finish, so early targets
 surface while later chunks are still being checked.  Failure handling
-mirrors assembly (see ``docs/robustness.md``): inside a worker the
-configured error policy quarantines unparseable targets (and targets
-whose payload fails to decode, stage ``codec``) instead of failing the
-shard, and if the process pool breaks mid-stream — a worker segfaulted
-or was OOM-killed — the coordinator poisons the warm pool (the next run
-respawns it) and finishes the failed shard and everything after it
-serially in-process, with a warning and a ``batch.serial_fallback.total``
-metric, rather than dropping reports.
+is the shard runner's, the same as training (see
+``docs/robustness.md``): inside a worker the configured error policy
+quarantines unparseable targets (and targets whose payload fails to
+decode, stage ``codec``), and a shard whose worker crashed or stalled
+is retried in a fresh single-worker pool, then bisected until the
+target that kills workers is quarantined under stage ``worker`` — in
+place, before any later report is yielded.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.core.report import Report
-from repro.engine import codec
-from repro.engine.artifacts import CheckResult, image_payload
-from repro.engine.pool import (
-    WarmPool,
-    get_warm_pool,
-    worker_encore,
-    worker_install_model,
-    worker_tracer,
-)
-from repro.engine.sharding import (
-    POOL_UNAVAILABLE,
-    attach_worker_cache,
-    chunked,
-    decode_task_images,
-)
-from repro.obs import get_logger
-from repro.obs.health import maybe_tick as health_tick
-from repro.obs.metrics import (
-    MetricsRegistry,
-    get_registry,
-    merge_snapshot,
-    use_registry,
-)
-from repro.obs.profile import (
-    StageProfiler,
-    get_profiler,
-    merge_profile_snapshot,
-    set_profiler,
-)
-from repro.obs.tracing import current_context, merge_remote_spans, span, use_tracer
+from repro.core.resilience import RetryPolicy
+from repro.engine.sharding import ShardRunner, chunked, default_chunk_size
+from repro.obs.tracing import span
 from repro.sysmodel.image import SystemImage
 
-log = get_logger("engine.batch")
 
-
-def default_check_chunk_size(n_items: int, workers: int) -> int:
-    """Several chunks per worker so reports start streaming early."""
-    return max(1, math.ceil(n_items / max(1, workers * 4)))
-
-
-def encode_model_payload(model_dict: Dict[str, Any]) -> Tuple[bytes, str]:
-    """``(codec bytes, digest)`` of a model snapshot dict — counted.
-
-    Like config payloads, the model crosses the process boundary as one
-    hoisted encoding per pool lifetime; ``codec.model.encodes.total``
-    guards against per-shard re-encoding creeping back in.
-    """
-    data = codec.encode(model_dict)
-    get_registry().counter("codec.model.encodes.total").inc()
-    return data, codec.digest(data)
-
-
-def _check_shard(task: bytes) -> bytes:
-    """Worker entry point: check one codec-framed chunk task.
-
-    Targets are checked under the configured error policy: a target that
-    cannot be decoded or assembled is dropped into a quarantine record
-    on the result (no report) instead of failing the whole shard.  The
-    pipeline and installed model are cached per worker process by
-    digest; quarantine and the drift monitor are reset per shard.  The
-    shard's metrics land in a fresh :func:`~repro.obs.metrics.use_registry`
-    override — not a default swap — so a warm worker forked under a
-    serve request's override never leaks counts across shards (see
-    ``_assemble_shard``).
-    """
-    payload = codec.decode(task)
-    shard_index = payload["shard_index"]
-    tracer = worker_tracer(payload, shard_index)
-    with use_registry(MetricsRegistry()), (
-        use_tracer(tracer) if tracer is not None else nullcontext()
-    ):
-        profiler = None
-        if payload.get("profile"):
-            profiler = set_profiler(StageProfiler().start())
-        try:
-            encore = worker_encore(payload["config"], payload["config_digest"])
-            worker_install_model(encore, payload["model"], payload["model_digest"])
-            attach_worker_cache(encore.assembler, payload.get("cache"))
-            if payload.get("faults"):
-                from repro.testing.faults import FaultPlan
-
-                encore.assembler.fault_hook = (
-                    FaultPlan.from_dict(payload["faults"]).hook
-                )
-            reports = []
-            # Like ``_assemble_shard``: the shard-root span bypasses the
-            # module-level span() so tracing on/off leaves metrics
-            # byte-identical (no extra histogram observations).
-            shard_span = (
-                tracer.span("check.shard", shard=shard_index,
-                            items=len(payload["images"]))
-                if tracer is not None else nullcontext()
-            )
-            shard_cm = (
-                profiler.shard("check", shard_index, items=len(payload["images"]))
-                if profiler is not None else nullcontext()
-            )
-            with shard_span, shard_cm:
-                for image in decode_task_images(
-                    payload, encore.assembler, shard_index
-                ):
-                    report = encore._check_guarded(image)
-                    if report is not None:
-                        reports.append(report)
-            return CheckResult(
-                reports=reports,
-                metrics=get_registry().to_dict(),
-                shard_index=shard_index,
-                drift=encore.drift.to_dict() if encore.drift is not None else {},
-                quarantine=encore.quarantine.to_dicts(),
-                dropped=encore.quarantine.dropped,
-                profile=profiler.to_dict() if profiler is not None else {},
-                spans=tracer.snapshot(shard=shard_index) if tracer is not None else {},
-            ).to_bytes()
-        finally:
-            if profiler is not None:
-                set_profiler(None)
-                profiler.stop()
-
-
-class BatchChecker:
+class BatchChecker(ShardRunner):
     """Stream reports for a fleet of targets across worker processes.
 
-    *model_payload* is the :func:`repro.core.persistence.model_to_dict`
-    snapshot (or its hoisted ``(bytes, digest)`` encoding via
-    *model_bytes* — preferred, computed once per model by
-    :meth:`EnCore.model_payload`); *quarantine* is the coordinator's
-    :class:`~repro.core.resilience.Quarantine` that worker-side drop
-    records fold into; *fault_plan* is the test-only injection hook
-    shipped to workers inside shard payloads; *pool* overrides the
-    shared warm pool (tests).
+    *model_bytes* is the hoisted ``(codec bytes, digest)`` encoding of
+    the :func:`repro.core.persistence.model_to_dict` snapshot, computed
+    once per model by :meth:`EnCore.model_payload`; *drift* is the
+    coordinator's :class:`~repro.obs.model.DriftMonitor` the workers'
+    observation snapshots fold into (shard merges are associative, so
+    totals match a serial run exactly); *cache* / *cache_salt* name the
+    result cache workers look up and fill.  The remaining parameters
+    are :class:`~repro.engine.sharding.ShardRunner`'s.
     """
+
+    kind = "check"
 
     def __init__(
         self,
         config,
-        model_payload: Optional[Dict[str, Any]] = None,
+        model_bytes: Tuple[bytes, str],
         workers: int = 1,
         chunk_size: Optional[int] = None,
-        drift=None,
-        quarantine=None,
+        retry: Optional[RetryPolicy] = None,
+        shard_timeout: Optional[float] = None,
         fault_plan=None,
         config_payload: Optional[Tuple[bytes, str]] = None,
-        model_bytes: Optional[Tuple[bytes, str]] = None,
-        pool: Optional[WarmPool] = None,
+        quarantine=None,
+        drift=None,
         cache=None,
         cache_salt: str = "",
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        super().__init__(
+            config, workers=workers, chunk_size=chunk_size, retry=retry,
+            shard_timeout=shard_timeout, fault_plan=fault_plan,
+            config_payload=config_payload, quarantine=quarantine,
+        )
+        self.model_bytes = model_bytes
+        self.drift = drift
         self.cache = cache
         self.cache_salt = cache_salt
-        if model_bytes is None:
-            if model_payload is None:
-                raise ValueError("model_payload or model_bytes is required")
-            model_bytes = encode_model_payload(model_payload)
-        self.config = config
-        self.model_bytes = model_bytes
-        self.workers = workers
-        self.chunk_size = chunk_size
-        #: Coordinator-side :class:`~repro.obs.model.DriftMonitor` the
-        #: workers' observation snapshots fold into (shard merges are
-        #: associative, so totals match a serial run exactly).
-        self.drift = drift
-        self.quarantine = quarantine
-        self.fault_plan = fault_plan
-        if config_payload is None:
-            from repro.engine.sharding import encode_config_payload
-
-            config_payload = encode_config_payload(config)
-        self.config_payload = config_payload
-        self.pool = pool
-
-    def _cache_spec(self) -> Optional[Dict[str, Any]]:
-        """Worker-side cache handle: full lookup+store on the check path.
-
-        Unlike assembly there is no coordinator pre-pass (every target
-        needs a report regardless), so workers do their own lookups.
-        """
-        if self.cache is None or self.cache.root is None:
-            return None
-        return {
-            "root": str(self.cache.root),
-            "salt": self.cache_salt,
-            "store_only": False,
-        }
-
-    def _task(self, chunk: List[SystemImage], index: int) -> bytes:
-        payload: Dict[str, Any] = {
-            "config": self.config_payload[0],
-            "config_digest": self.config_payload[1],
-            "model": self.model_bytes[0],
-            "model_digest": self.model_bytes[1],
-            "images": [image_payload(image) for image in chunk],
-            "image_ids": [image.image_id for image in chunk],
-            "shard_index": index,
-        }
-        if self.fault_plan is not None:
-            payload["faults"] = self.fault_plan.to_dict()
-        if get_profiler() is not None:
-            payload["profile"] = True
-        context = current_context()
-        if context is not None:
-            payload["trace"] = context.to_dict()
-        cache_spec = self._cache_spec()
-        if cache_spec is not None:
-            payload["cache"] = cache_spec
-        return codec.encode(payload)
 
     def stream(self, images: Iterable[SystemImage]) -> Iterator[Report]:
         """Yield one report per surviving target, in input order."""
         images = list(images)
         if not images:
             return
-        chunk_size = self.chunk_size or default_check_chunk_size(
-            len(images), self.workers
-        )
-        chunks = chunked(images, chunk_size)
+        chunk_size = self.chunk_size or default_chunk_size(len(images), self.workers)
+        # Tasks are framed inside the batch span so the propagated trace
+        # context names it as the workers' remote parent.
         with span("check.batch", targets=len(images), workers=self.workers):
-            # Tasks are framed inside the batch span so the propagated
-            # trace context names it as the workers' remote parent.
-            tasks = [
-                self._task(chunk, index) for index, chunk in enumerate(chunks)
-            ]
-            pool = self.pool if self.pool is not None else get_warm_pool(self.workers)
-            try:
-                executor = pool.executor()
-            except POOL_UNAVAILABLE as exc:
-                log.warning("batch.pool_unavailable", error=str(exc))
-                yield from self._stream_serial(tasks)
-                return
-            serial_from: Optional[int] = None
-            try:
-                futures = [executor.submit(_check_shard, task) for task in tasks]
-            except (BrokenProcessPool, RuntimeError) as exc:
-                log.warning("batch.pool_broken_at_submit", error=type(exc).__name__)
-                pool.poison()
-                get_registry().counter("batch.serial_fallback.total").inc()
-                yield from self._stream_serial(tasks)
-                return
-            for index, future in enumerate(futures):
-                try:
-                    raw = future.result()
-                except BrokenProcessPool:
-                    # A worker died hard (segfault, OOM kill, crash
-                    # fault).  Every outstanding future is lost with
-                    # the pool, so poison it (the next run respawns)
-                    # and finish this shard and the rest in-process —
-                    # slower, but no report is dropped.
-                    pool.poison()
-                    get_registry().counter("batch.serial_fallback.total").inc()
-                    log.warning(
-                        "batch.pool_broken", shard=index,
-                        remaining=len(tasks) - index,
-                    )
-                    serial_from = index
-                    break
-                result = CheckResult.from_bytes(raw)
-                self._fold(result)
-                yield from result.reports
-            if serial_from is not None:
-                yield from self._stream_serial(tasks[serial_from:])
-
-    def _stream_serial(self, tasks: List[bytes]) -> Iterator[Report]:
-        for task in tasks:
-            result = _check_shard_inline(task)
-            self._fold(result)
-            yield from result.reports
-
-    def _fold(self, result: CheckResult) -> None:
-        merge_snapshot(result.metrics)
-        if result.profile:
-            merge_profile_snapshot(result.profile)
-        if result.spans:
-            merge_remote_spans(result.spans)
-        if self.drift is not None and result.drift:
-            self.drift.merge_snapshot(result.drift)
-        if self.quarantine is not None:
-            self.quarantine.extend_dicts(result.quarantine, dropped=result.dropped)
-        get_registry().counter("check.shards.total").inc()
-        # Streamed checks tick the health monitor once per folded shard
-        # (no-op unless `--alerts` installed one and the sampling
-        # interval elapsed) — a 100k-image run gets timeline points and
-        # alert evaluation without a second thread.
-        health_tick()
-
-
-def _check_shard_inline(task: bytes) -> CheckResult:
-    """Run a shard in-process without clobbering the caller's profiler.
-
-    ``_check_shard`` scopes its metrics with a ``use_registry`` override
-    (popped on exit), but the profiler is a process global it clears in
-    its ``finally`` — restore the caller's one here.
-    """
-    parent_profiler = get_profiler()
-    try:
-        return CheckResult.from_bytes(_check_shard(task))
-    finally:
-        set_profiler(parent_profiler)
+            for parts in self._shards(chunked(images, chunk_size)):
+                for part in parts:
+                    yield from part.reports

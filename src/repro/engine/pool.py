@@ -14,18 +14,19 @@ and one pipeline per worker process (:func:`worker_encore`):
   across ``repro serve`` requests.  A shard failure that breaks the
   pool (``BrokenProcessPool``, shard timeout) *poisons* it; the next
   acquisition respawns a fresh pool (``pool.respawn.total``) while the
-  failed shards recover through the existing retry/bisection machinery
-  in :mod:`repro.engine.sharding` — recovery always runs in fresh
-  single-worker pools, never the shared one, so a crashing image cannot
-  wedge the warm pool twice.
+  failed shards recover through the shard runner's retry/bisection
+  machinery in :mod:`repro.engine.sharding` — the same for train and
+  check — and recovery always runs in fresh single-worker pools, never
+  the shared one, so a crashing image cannot wedge the warm pool twice.
 * The **worker side** caches the built :class:`~repro.core.pipeline.EnCore`
   keyed by the config payload digest (and the installed model by the
   model payload digest), so a worker that has seen this configuration
   before skips parser/type/template construction entirely
   (``pool.worker.reuse.total`` vs ``pool.worker.build.total``).
   Per-shard state — quarantine records, fault hooks, the drift monitor —
-  is reset on every acquisition so shard results stay exactly as
-  independent as they were with throwaway workers.
+  is reset on every acquisition so the
+  :class:`~repro.engine.artifacts.ShardResult` each shard returns stays
+  exactly as independent as it was with throwaway workers.
 
 The pool is deliberately *not* used for recovery or bisection runs:
 those need crash firewalls with their own lifecycle.
@@ -188,9 +189,10 @@ atexit.register(shutdown_warm_pool)
 # -- worker-side pipeline cache ------------------------------------------------
 
 #: Per-worker-process cache: the built pipeline keyed by config digest,
-#: the installed model keyed by model digest, and any attached disk
-#: cache keyed by its root.  Lives for the worker's whole life — which,
-#: with the warm pool, spans many shards and many coordinator calls.
+#: the installed model keyed by model digest, and the one attached disk
+#: cache (replaced when a task names another root).  Lives for the
+#: worker's whole life — which, with the warm pool, spans many shards
+#: and many coordinator calls.
 _worker_state: Dict[str, Any] = {}
 
 
@@ -199,7 +201,8 @@ def worker_encore(config_payload: bytes, config_digest: str):
 
     Returns a per-shard-reset :class:`~repro.core.pipeline.EnCore`:
     quarantine cleared, fault hook disarmed, result cache detached —
-    the shard entry points re-arm exactly what their payload carries.
+    :func:`~repro.engine.sharding.run_shard` re-arms exactly what its
+    payload carries.
     A config change (digest mismatch) drops the cached pipeline *and*
     the installed model, since the model's detector surface is built
     against the pipeline's assembler.
@@ -263,13 +266,15 @@ def worker_tracer(payload: Dict[str, Any], shard_index: int):
 def worker_cache(root: str):
     """The worker's handle on the shared disk cache at *root*.
 
-    One :class:`~repro.engine.cache.ResultCache` per root per worker
-    process, so its in-memory layer persists across shards.
+    One :class:`~repro.engine.cache.ResultCache` per worker process, so
+    its in-memory layer persists across shards; a task naming another
+    root replaces it, the way :func:`worker_encore` replaces the
+    pipeline on a config change, so a long-lived worker never holds
+    more than one cache's memory layer.
     """
     from repro.engine.cache import ResultCache
 
-    caches = _worker_state.setdefault("caches", {})
-    cache = caches.get(root)
-    if cache is None:
-        cache = caches[root] = ResultCache(root)
+    cache = _worker_state.get("cache")
+    if cache is None or str(cache.root) != root:
+        cache = _worker_state["cache"] = ResultCache(root)
     return cache

@@ -1,49 +1,54 @@
-"""Sharded parallel corpus assembly with fault-tolerant recovery.
+"""The shard runner: one worker entry and one fault contract for train and check.
 
-Corpus assembly (parse → type → augment, per image) is embarrassingly
-parallel: no image's row depends on another's.  The coordinator splits
-the image list into contiguous chunks, ships each chunk to a worker
-process as a compact codec-framed task (:mod:`repro.engine.codec`), and
-folds the returned :class:`~repro.engine.artifacts.ShardResult`
-partials back together left-to-right in input order.  Because
-:meth:`PartialDataset.merge` is associative and order-preserving, the
-finalized dataset is identical — fingerprint and all — to a serial
-pass, regardless of worker count or chunk size.
+Corpus assembly (parse → type → augment, per image) and fleet checking
+are both per-image independent, so both split their images into
+contiguous chunks, ship each chunk to a worker process as a compact
+codec-framed task (:mod:`repro.engine.codec`), and fold the returned
+:class:`~repro.engine.artifacts.ShardResult` envelopes back in input
+order.  One worker entry, :func:`run_shard`, serves both: a task that
+carries a ``model`` is checked, any other task is assembled.  Because
+:meth:`PartialDataset.merge` is associative and order-preserving and
+every check target is independent, sharded results are identical —
+fingerprint, rules and reports — to a serial pass, regardless of worker
+count or chunk size.
 
 The data plane (see ``docs/architecture.md``, "Data plane"):
 
 * Tasks and results cross the process boundary as codec bytes, not
-  pickles: the config payload is encoded **once per pool lifetime**
-  (hoisted by :meth:`EnCore.worker_payload`), each image is encoded
-  once and memoised (:func:`~repro.engine.artifacts.image_payload`),
-  and result rows ride back image-elided — the coordinator re-attaches
+  pickles: the config and model payloads are encoded **once per pool
+  lifetime** (hoisted by :meth:`EnCore.worker_payload` /
+  :meth:`EnCore.model_payload`), each image is encoded once and
+  memoised (:func:`~repro.engine.artifacts.image_payload`), and
+  assembled rows ride back image-elided — the coordinator re-attaches
   its own :class:`~repro.sysmodel.image.SystemImage` objects by id.
 * Shards run on the shared warm pool (:mod:`repro.engine.pool`), whose
   workers keep their built pipeline across shards and runs.  A shard
   failure poisons the pool (next run respawns) and recovery proceeds in
   fresh single-worker pools — the crash firewall never reuses the
   shared pool.
-* When a result cache (:mod:`repro.engine.cache`) is attached, the
-  coordinator resolves cache hits in-process *before* sharding and
-  ships only the misses; hit rows fold back in exact input order, so
-  cached runs stay byte-identical to cold ones.
+* When a result cache (:mod:`repro.engine.cache`) is attached, its disk
+  handle rides in the task.  Assembly resolves hits in the coordinator
+  *before* sharding and ships only the misses (workers just store);
+  checking has no pre-pass, so check workers look up and store.
 
-Failure handling has three layers (see ``docs/robustness.md``):
+Failure handling has three layers, the same for train and check (see
+``docs/robustness.md``):
 
-1. **Per-image isolation** happens inside the worker: the assembler's
-   error policy drops unparseable images into quarantine records that
-   ride back on the shard result.  An image whose *payload* cannot be
-   decoded (:class:`~repro.engine.codec.CodecError`) quarantines the
-   same way, under stage ``codec``.
+1. **Per-image isolation** happens inside the worker: the error policy
+   drops unparseable images into quarantine records that ride back on
+   the shard result.  An image whose *payload* cannot be decoded
+   (:class:`~repro.engine.codec.CodecError`) quarantines the same way,
+   under stage ``codec``.
 2. **Per-shard recovery** happens here: a shard whose worker crashed
    (``BrokenProcessPool``) or stalled (``shard_timeout``) is retried in
    a fresh single-worker pool under an exponential-backoff
    :class:`~repro.core.resilience.RetryPolicy`.
 3. **Bisection** kicks in when retries are exhausted: the chunk is
    split recursively until the poisoned image(s) are isolated and
-   quarantined individually, so one crash-inducing image costs exactly
-   itself — never its shard, never the run.  When no subprocess can be
-   created at all, survivors are assembled serially in-process.
+   quarantined individually under stage ``worker``, so one
+   crash-inducing image costs exactly itself — never its shard, never
+   the run.  When no subprocess can be created at all, shards run
+   in-process through the same :func:`run_shard`.
 
 Workers record into a fresh process-local metrics registry per shard
 and return its snapshot; the coordinator merges those snapshots so
@@ -57,11 +62,22 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as ShardTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.core.dataset import Dataset, PartialDataset
 from repro.core.resilience import (
     ErrorPolicy,
+    Quarantine,
     QuarantineRecord,
     RetryPolicy,
     enforce_error_budget,
@@ -71,10 +87,10 @@ from repro.engine import codec
 from repro.engine.artifacts import ShardResult, image_payload
 from repro.engine.codec import CodecError
 from repro.engine.pool import (
-    WarmPool,
     get_warm_pool,
     worker_cache,
     worker_encore,
+    worker_install_model,
     worker_tracer,
 )
 from repro.obs import get_logger
@@ -106,7 +122,7 @@ log = get_logger("engine.sharding")
 RECOVERABLE = (BrokenProcessPool, ShardTimeout)
 
 #: Pool-creation failures that mean "no subprocess can be created here"
-#: (restricted sandboxes) — assembly falls back to the serial path.
+#: (restricted sandboxes) — shards then run in-process.
 POOL_UNAVAILABLE = (OSError, PermissionError, ValueError)
 
 
@@ -120,10 +136,11 @@ def chunked(items: Sequence[T], chunk_size: int) -> List[List[T]]:
 def default_chunk_size(n_items: int, workers: int) -> int:
     """About four chunks per worker.
 
-    Smaller chunks let the coordinator deserialise shard *i* while the
-    pool is still assembling shard *i+1*, hiding the result-shipping
-    latency behind worker compute; they also bound the blast radius of
-    a crashed worker to a quarter of one worker's share.
+    Smaller chunks let the coordinator fold shard *i* while the pool is
+    still running shard *i+1*, hiding the result-shipping latency behind
+    worker compute and letting check reports start streaming early; they
+    also bound the blast radius of a crashed worker to a quarter of one
+    worker's share.
     """
     return max(1, math.ceil(n_items / (max(1, workers) * 4)))
 
@@ -138,6 +155,18 @@ def encode_config_payload(config) -> Tuple[bytes, str]:
     """
     data = codec.encode(config.to_dict())
     get_registry().counter("codec.config.encodes.total").inc()
+    return data, codec.digest(data)
+
+
+def encode_model_payload(model_dict: Dict[str, Any]) -> Tuple[bytes, str]:
+    """``(codec bytes, digest)`` of a model snapshot dict — counted.
+
+    Like config payloads, the model crosses the process boundary as one
+    hoisted encoding per pool lifetime; ``codec.model.encodes.total``
+    guards against per-shard re-encoding creeping back in.
+    """
+    data = codec.encode(model_dict)
+    get_registry().counter("codec.model.encodes.total").inc()
     return data, codec.digest(data)
 
 
@@ -183,22 +212,25 @@ def decode_task_images(
     return images
 
 
-def _assemble_shard(task: bytes) -> bytes:
-    """Worker entry point: assemble one codec-framed chunk task.
+def run_shard(task: bytes) -> bytes:
+    """Worker entry point: assemble or check one codec-framed chunk task.
 
-    Must stay a module-level function (picklable under every
-    multiprocessing start method).  The shard records into a fresh
-    registry pushed with :func:`~repro.obs.metrics.use_registry` — an
-    override, not a default swap, because a warm-pool worker may have
-    been forked while its parent thread held a request-scoped override
-    (the serve daemon) and that fork-copy would otherwise shadow a
-    plain ``set_registry`` and leak counts across shards.  Quarantine
-    records accumulated by the worker's error policy ride back on the
-    result.  The pipeline itself is cached per worker process
-    (:func:`repro.engine.pool.worker_encore`) and reset per shard.
+    A task that carries a ``model`` installs it and checks each image
+    under the error policy (a quarantined target yields no report);
+    any other task assembles its images into a partial dataset.  Must
+    stay a module-level function (picklable under every multiprocessing
+    start method).  The shard records into a fresh registry pushed with
+    :func:`~repro.obs.metrics.use_registry` — an override, not a default
+    swap, because a warm-pool worker may have been forked while its
+    parent thread held a request-scoped override (the serve daemon) and
+    that fork-copy would otherwise shadow a plain ``set_registry`` and
+    leak counts across shards.  The pipeline and installed model are
+    cached per worker process (:mod:`repro.engine.pool`) and reset per
+    shard.
     """
     payload = codec.decode(task)
     shard_index = payload["shard_index"]
+    kind = "check" if "model" in payload else "assemble"
     tracer = worker_tracer(payload, shard_index)
     with use_registry(MetricsRegistry()), (
         use_tracer(tracer) if tracer is not None else nullcontext()
@@ -208,6 +240,10 @@ def _assemble_shard(task: bytes) -> bytes:
             profiler = set_profiler(StageProfiler().start())
         try:
             encore = worker_encore(payload["config"], payload["config_digest"])
+            if kind == "check":
+                worker_install_model(
+                    encore, payload["model"], payload["model_digest"]
+                )
             attach_worker_cache(encore.assembler, payload.get("cache"))
             if payload.get("faults"):
                 from repro.testing.faults import FaultPlan
@@ -216,56 +252,297 @@ def _assemble_shard(task: bytes) -> bytes:
                     FaultPlan.from_dict(payload["faults"]).hook
                 )
             images = decode_task_images(payload, encore.assembler, shard_index)
+            result = ShardResult(shard_index=shard_index)
             # The shard-root span goes through the tracer directly, not
             # the module-level span(): it only exists when a context was
             # shipped, and must not observe histograms a tracing-off run
             # would lack (metrics stay identical either way).
             shard_span = (
-                tracer.span("assemble.shard", shard=shard_index,
-                            items=len(images))
+                tracer.span(f"{kind}.shard", shard=shard_index, items=len(images))
                 if tracer is not None else nullcontext()
             )
             shard_sample = (
-                profiler.shard("assemble", shard_index, items=len(images))
+                profiler.shard(kind, shard_index, items=len(images))
                 if profiler is not None else nullcontext()
             )
             with shard_span, shard_sample:
-                partial = encore.assembler.assemble_partial(
-                    images, shard_index=shard_index
-                )
-            return ShardResult(
-                partial=partial,
-                metrics=get_registry().to_dict(),
-                shard_index=shard_index,
-                quarantine=encore.assembler.quarantine.to_dicts(),
-                dropped=encore.assembler.quarantine.dropped,
-                profile=profiler.to_dict() if profiler is not None else {},
-                spans=tracer.snapshot(shard=shard_index) if tracer is not None else {},
-            ).to_bytes()
+                if kind == "check":
+                    result.reports = [
+                        report for report in map(encore._check_guarded, images)
+                        if report is not None
+                    ]
+                    if encore.drift is not None:
+                        result.drift = encore.drift.to_dict()
+                else:
+                    result.partial = encore.assembler.assemble_partial(
+                        images, shard_index=shard_index
+                    )
+            result.metrics = get_registry().to_dict()
+            result.quarantine = encore.quarantine.to_dicts()
+            result.dropped = encore.quarantine.dropped
+            if profiler is not None:
+                result.profile = profiler.to_dict()
+            if tracer is not None:
+                result.spans = tracer.snapshot(shard=shard_index)
+            return result.to_bytes()
         finally:
             if profiler is not None:
                 set_profiler(None)
                 profiler.stop()
 
 
-class ShardedAssembler:
+class ShardRunner:
+    """Coordinator side of :func:`run_shard`, shared by train and check.
+
+    Owns the task builder, the submit loop over the shared warm pool,
+    the telemetry fold and the recovery routine.  The class attribute
+    ``kind`` names the shard spans, profile samples and the
+    ``<kind>.shards.total`` counter; subclasses set ``model_bytes``
+    (check only: the hoisted ``(bytes, digest)`` model encoding),
+    ``drift`` and the result ``cache``.
+
+    *retry* tunes the crash/timeout recovery backoff (injectable sleeper
+    for tests), *shard_timeout* bounds one shard's wall time in seconds
+    (``None`` = unbounded), *fault_plan* is the test-only injection hook
+    from :mod:`repro.testing.faults`, shipped to workers inside the
+    shard payload, and *config_payload* is the hoisted ``(bytes,
+    digest)`` config encoding (computed here, once, when not supplied).
+    Worker quarantine records fold into *quarantine*.
+    """
+
+    kind: str
+
+    def __init__(
+        self,
+        config,
+        workers: int = 1,
+        chunk_size: Optional[int] = None,
+        retry: Optional[RetryPolicy] = None,
+        shard_timeout: Optional[float] = None,
+        fault_plan=None,
+        config_payload: Optional[Tuple[bytes, str]] = None,
+        quarantine: Optional[Quarantine] = None,
+    ) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.config = config
+        self.workers = workers
+        self.chunk_size = chunk_size
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.shard_timeout = shard_timeout
+        self.fault_plan = fault_plan
+        self.config_payload = (
+            config_payload if config_payload is not None
+            else encode_config_payload(config)
+        )
+        self.quarantine = quarantine if quarantine is not None else Quarantine()
+        self.model_bytes: Optional[Tuple[bytes, str]] = None
+        self.drift = None
+        self.cache = None
+        self.cache_salt = ""
+
+    @property
+    def _policy(self) -> ErrorPolicy:
+        return ErrorPolicy.parse(getattr(self.config, "error_policy", "strict"))
+
+    def _task(self, chunk: List[SystemImage], index: int) -> bytes:
+        payload: Dict[str, Any] = {
+            "config": self.config_payload[0],
+            "config_digest": self.config_payload[1],
+            "images": [image_payload(image) for image in chunk],
+            "image_ids": [image.image_id for image in chunk],
+            "shard_index": index,
+        }
+        if self.model_bytes is not None:
+            payload["model"], payload["model_digest"] = self.model_bytes
+        if self.fault_plan is not None:
+            payload["faults"] = self.fault_plan.to_dict()
+        if get_profiler() is not None:
+            payload["profile"] = True
+        context = current_context()
+        if context is not None:
+            # Propagate the coordinator's trace identity: the worker
+            # re-parents its span forest under the span active here.
+            payload["trace"] = context.to_dict()
+        if self.cache is not None and self.cache.root is not None:
+            # Assembly resolved every hit in its coordinator pre-pass, so
+            # its workers only store; check workers look up and store.
+            payload["cache"] = {
+                "root": str(self.cache.root),
+                "salt": self.cache_salt,
+                "store_only": self.kind == "assemble",
+            }
+        return codec.encode(payload)
+
+    def _shards(self, chunks: List[List[SystemImage]]) -> Iterator[List[ShardResult]]:
+        """Run *chunks* and yield each one's folded results, in input order.
+
+        Every task is submitted to the warm pool up front; results are
+        awaited in order, and a shard that fails is recovered in place
+        before any later shard is yielded.
+        """
+        tasks = [self._task(chunk, index) for index, chunk in enumerate(chunks)]
+        pool = get_warm_pool(self.workers)
+        try:
+            futures = [pool.submit(run_shard, task) for task in tasks]
+        except POOL_UNAVAILABLE as exc:
+            log.warning("shard.pool_unavailable", error=str(exc))
+            futures = []
+        for index, chunk in enumerate(chunks):
+            if not futures:
+                parts = [self._run_inline(tasks[index], chunk)]
+            else:
+                try:
+                    raw = futures[index].result(timeout=self.shard_timeout)
+                    parts = [_decode(raw, chunk)]
+                except RECOVERABLE as exc:
+                    futures[index].cancel()
+                    pool.poison()
+                    get_registry().counter("retry.shards.failed").inc()
+                    log.warning(
+                        "shard.failed", shard=index, kind=self.kind,
+                        error=type(exc).__name__, images=len(chunk),
+                    )
+                    parts = self._recover(chunk, index)
+            self._fold(parts)
+            yield parts
+
+    def _fold(self, parts: List[ShardResult]) -> None:
+        """Fold one shard's worker telemetry into the coordinator."""
+        for part in parts:
+            if part.metrics:
+                merge_snapshot(part.metrics)
+            if part.profile:
+                merge_profile_snapshot(part.profile)
+            if part.spans:
+                merge_remote_spans(part.spans)
+            if part.drift and self.drift is not None:
+                self.drift.merge_snapshot(part.drift)
+            self.quarantine.extend_dicts(part.quarantine, dropped=part.dropped)
+        get_registry().counter(f"{self.kind}.shards.total").inc()
+        # Long sharded runs tick the health monitor once per folded shard
+        # (no-op unless one is installed and its sampling interval
+        # elapsed), so a multi-hour run still gets timeline points and
+        # alert evaluation without a second thread.
+        health_tick()
+
+    # -- shard recovery --------------------------------------------------------
+
+    def _recover(self, chunk: List[SystemImage], index: int) -> List[ShardResult]:
+        """Bring one failed shard back: backoff-retry, then bisect."""
+        registry = get_registry()
+        last_exc: Optional[BaseException] = None
+        for attempt in range(1, self.retry.max_attempts + 1):
+            self.retry.backoff(attempt)
+            registry.counter("retry.attempts.total").inc()
+            try:
+                result = self._run_isolated(chunk, index)
+            except RECOVERABLE as exc:
+                last_exc = exc
+                log.warning(
+                    "shard.retry_failed", shard=index, attempt=attempt,
+                    error=type(exc).__name__,
+                )
+                continue
+            registry.counter("retry.recovered.total").inc()
+            log.info("shard.recovered", shard=index, attempt=attempt)
+            return [result]
+        assert last_exc is not None
+        if self._policy is ErrorPolicy.STRICT:
+            raise last_exc
+        registry.counter("retry.bisections.total").inc()
+        log.warning(
+            "shard.bisecting", shard=index, images=len(chunk),
+            error=type(last_exc).__name__,
+        )
+        return self._bisect(chunk, index)
+
+    def _run_isolated(self, chunk: List[SystemImage], index: int) -> ShardResult:
+        """Run one chunk in a fresh single-worker pool (crash firewall).
+
+        Never the warm pool: a chunk under recovery is suspected of
+        crashing workers, and the firewall's job is to contain that.
+        Falls back to running the shard in-process when no subprocess
+        can be created at all — per-image isolation still applies there,
+        so survivors are never lost.
+        """
+        task = self._task(chunk, index)
+        try:
+            executor = ProcessPoolExecutor(max_workers=1)
+        except POOL_UNAVAILABLE as exc:
+            log.warning("shard.recovery_pool_unavailable", error=str(exc))
+            return self._run_inline(task, chunk)
+        try:
+            raw = executor.submit(run_shard, task).result(timeout=self.shard_timeout)
+        finally:
+            executor.shutdown(wait=False, cancel_futures=True)
+        return _decode(raw, chunk)
+
+    def _run_inline(self, task: bytes, chunk: List[SystemImage]) -> ShardResult:
+        """Run a shard in-process without clobbering the caller's profiler.
+
+        :func:`run_shard` scopes its metrics and tracer with overrides
+        (popped on exit), but the profiler is a process global it clears
+        in its ``finally`` — restore the caller's one here.  Inside the
+        coordinator a fault plan raises instead of killing the process,
+        so the error policy contains it.
+        """
+        parent_profiler = get_profiler()
+        try:
+            return _decode(run_shard(task), chunk)
+        finally:
+            set_profiler(parent_profiler)
+
+    def _bisect(self, chunk: List[SystemImage], index: int) -> List[ShardResult]:
+        """Isolate the poisoned image(s) of a repeatedly-failing chunk.
+
+        Recursively halves the chunk, running each half in its own
+        single-worker pool, until failures are pinned to single images —
+        each of which is quarantined with stage ``worker``.  Survivors'
+        results come back in input order, so the fold stays identical to
+        running the clean subset serially.
+        """
+        try:
+            return [self._run_isolated(chunk, index)]
+        except RECOVERABLE as exc:
+            if len(chunk) > 1:
+                mid = (len(chunk) + 1) // 2
+                return self._bisect(chunk[:mid], index) + self._bisect(
+                    chunk[mid:], index
+                )
+            image_id = chunk[0].image_id
+            record = QuarantineRecord(
+                image_id=image_id, stage="worker",
+                error=type(exc).__name__,
+                message=str(exc) or "worker process crashed or stalled",
+                shard_index=index,
+            )
+            get_registry().counter("quarantine.images.total", stage="worker").inc()
+            log.warning(
+                "image.quarantined", image=image_id, stage="worker",
+                error=record.error,
+            )
+            return [ShardResult(
+                shard_index=index, quarantine=[record.to_dict()], dropped=1
+            )]
+
+
+def _decode(raw: bytes, chunk: List[SystemImage]) -> ShardResult:
+    return ShardResult.from_bytes(raw, {image.image_id: image for image in chunk})
+
+
+class ShardedAssembler(ShardRunner):
     """Assemble a corpus across *workers* processes, surviving failures.
 
     ``workers <= 1`` runs serially through *assembler* (the caller's own
     instance, preserving programmatic customization exactly); ``workers
     > 1`` ships codec-framed chunk tasks to the shared warm pool, whose
-    workers rebuild (once) from *config*.  When a process pool cannot be
-    created (restricted sandboxes), assembly falls back to the serial
-    path with a warning — results are identical either way.
-
-    *retry* tunes the crash/timeout recovery backoff (injectable sleeper
-    for tests), *shard_timeout* bounds one shard's wall time in seconds
-    (``None`` = unbounded), *fault_plan* is the test-only injection
-    hook from :mod:`repro.testing.faults`, shipped to workers inside the
-    shard payload, *config_payload* is the hoisted ``(bytes, digest)``
-    config encoding (computed here, once, when not supplied), and *pool*
-    overrides the shared warm pool (tests).
+    workers rebuild (once) from *config*.  The remaining parameters are
+    :class:`ShardRunner`'s; the assembler's own quarantine and result
+    cache are the ones the run folds into and ships.
     """
+
+    kind = "assemble"
 
     def __init__(
         self,
@@ -277,29 +554,32 @@ class ShardedAssembler:
         shard_timeout: Optional[float] = None,
         fault_plan=None,
         config_payload: Optional[Tuple[bytes, str]] = None,
-        pool: Optional[WarmPool] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.config = config
-        self.assembler = assembler
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.shard_timeout = shard_timeout
-        self.fault_plan = fault_plan
-        self.config_payload = (
-            config_payload if config_payload is not None
-            else encode_config_payload(config)
+        super().__init__(
+            config, workers=workers, chunk_size=chunk_size, retry=retry,
+            shard_timeout=shard_timeout, fault_plan=fault_plan,
+            config_payload=config_payload, quarantine=assembler.quarantine,
         )
-        self.pool = pool
+        self.assembler = assembler
+        self.cache = assembler.cache
+        self.cache_salt = assembler.cache_salt
 
     def assemble(self, images: Iterable[SystemImage]) -> Dataset:
         images = list(images)
         if self.workers <= 1 or len(images) <= 1:
             self._install_inline_faults()
             return self.assembler.assemble_corpus(images)
-        return self._assemble_sharded(images)
+        with span("assemble.corpus") as s:
+            dropped_before = self.quarantine.dropped
+            dataset = self._sharded_partial(images).finalize()
+            enforce_error_budget(
+                self.quarantine.dropped - dropped_before,
+                len(images),
+                getattr(self.config, "max_error_rate", 1.0),
+                self._policy,
+            )
+            s.annotate(systems=len(dataset), attributes=len(dataset.attributes()))
+        return dataset
 
     def assemble_partial(self, images: Iterable[SystemImage]) -> PartialDataset:
         images = list(images)
@@ -310,71 +590,10 @@ class ShardedAssembler:
 
     # -- internals -------------------------------------------------------------
 
-    @property
-    def _policy(self) -> ErrorPolicy:
-        return ErrorPolicy.parse(getattr(self.config, "error_policy", "strict"))
-
     def _install_inline_faults(self) -> None:
         """Arm the fault plan on the serial path (coordinator-safe mode)."""
         if self.fault_plan is not None and self.assembler.fault_hook is None:
             self.assembler.fault_hook = self.fault_plan.hook
-
-    def _assemble_sharded(self, images: List[SystemImage]) -> Dataset:
-        with span("assemble.corpus") as s:
-            dropped_before = self.assembler.quarantine.dropped
-            dataset = self._sharded_partial(images).finalize()
-            enforce_error_budget(
-                self.assembler.quarantine.dropped - dropped_before,
-                len(images),
-                getattr(self.config, "max_error_rate", 1.0),
-                self._policy,
-            )
-            s.annotate(systems=len(dataset), attributes=len(dataset.attributes()))
-        return dataset
-
-    def _cache_spec(self) -> Optional[Dict[str, Any]]:
-        """The disk-cache handle shipped inside worker tasks.
-
-        ``store_only``: the coordinator already resolved every hit in
-        its pre-pass, so workers skip lookups and just fill the cache
-        for future runs (and other processes).
-        """
-        cache = getattr(self.assembler, "cache", None)
-        if cache is None or cache.root is None:
-            return None
-        return {
-            "root": str(cache.root),
-            "salt": self.assembler.cache_salt,
-            "store_only": True,
-        }
-
-    def _task(self, chunk: List[SystemImage], index: int) -> bytes:
-        payload: Dict[str, Any] = {
-            "config": self.config_payload[0],
-            "config_digest": self.config_payload[1],
-            "images": [image_payload(image) for image in chunk],
-            "image_ids": [image.image_id for image in chunk],
-            "shard_index": index,
-        }
-        if self.fault_plan is not None:
-            payload["faults"] = self.fault_plan.to_dict()
-        if get_profiler() is not None:
-            payload["profile"] = True
-        context = current_context()
-        if context is not None:
-            # Propagate the coordinator's trace identity: the worker
-            # re-parents its span forest under the span active here.
-            payload["trace"] = context.to_dict()
-        cache_spec = self._cache_spec()
-        if cache_spec is not None:
-            payload["cache"] = cache_spec
-        return codec.encode(payload)
-
-    @staticmethod
-    def _decode_result(raw: bytes, chunk: List[SystemImage]) -> ShardResult:
-        return ShardResult.from_bytes(
-            raw, {image.image_id: image for image in chunk}
-        )
 
     def _partition(
         self, images: List[SystemImage]
@@ -390,8 +609,7 @@ class ShardedAssembler:
         """
         order: List[Tuple[str, Any]] = []
         misses = 0
-        cache = getattr(self.assembler, "cache", None)
-        if cache is not None:
+        if self.cache is not None:
             for image in images:
                 system = self.assembler.cached_assembled(image)
                 if system is not None:
@@ -425,208 +643,21 @@ class ShardedAssembler:
         return segments, chunks
 
     def _sharded_partial(self, images: List[SystemImage]) -> PartialDataset:
-        registry = get_registry()
         segments, chunks = self._partition(images)
-        results: List[Optional[ShardResult]] = [None] * len(chunks)
         with span(
             "assemble.shards", shards=len(chunks), workers=self.workers,
             cached=len(images) - sum(len(c) for c in chunks),
         ):
-            if chunks:
-                self._run_chunks(chunks, results)
+            shards = self._shards(chunks)
             merged = PartialDataset()
-            shards_done = 0
+            # A left fold in input order, so the result is byte-identical
+            # to a serial pass no matter which shards were cached or
+            # needed recovery.  extend() is merge() without the copy.
             for kind, ref in segments:
                 if kind == "rows":
                     for system in ref:
                         merged.add(system)
                     continue
-                # The fold is a left fold in input order, so the result
-                # is byte-identical to a serial pass no matter which
-                # shards were cached or needed recovery.  extend() is
-                # merge() without the per-shard copy.
-                result = results[ref]
-                assert result is not None
-                merged.extend(result.partial)
-                if result.metrics:
-                    merge_snapshot(result.metrics)
-                if result.profile:
-                    merge_profile_snapshot(result.profile)
-                if result.spans:
-                    merge_remote_spans(result.spans)
-                self.assembler.quarantine.extend_dicts(
-                    result.quarantine, dropped=result.dropped
-                )
-                shards_done += 1
-                # Long sharded runs tick the health monitor between
-                # shard folds (no-op unless one is installed and its
-                # sampling interval elapsed), so a multi-hour train
-                # still gets timeline points and alert evaluation.
-                health_tick()
-        if shards_done:
-            registry.counter("assemble.shards.total").inc(shards_done)
+                for part in next(shards):
+                    merged.extend(part.partial)
         return merged
-
-    def _run_chunks(
-        self,
-        chunks: List[List[SystemImage]],
-        results: List[Optional[ShardResult]],
-    ) -> None:
-        """Ship chunk tasks through the warm pool, recovering failures."""
-        registry = get_registry()
-        pool = self.pool if self.pool is not None else get_warm_pool(self.workers)
-        try:
-            executor = pool.executor()
-        except POOL_UNAVAILABLE as exc:
-            log.warning("shard.pool_unavailable", error=str(exc))
-            for index, chunk in enumerate(chunks):
-                results[index] = self._assemble_inline(chunk, index)
-            return
-        tasks = [self._task(chunk, index) for index, chunk in enumerate(chunks)]
-        failed: List[int] = []
-        try:
-            futures = [executor.submit(_assemble_shard, task) for task in tasks]
-        except (BrokenProcessPool, RuntimeError) as exc:
-            # The previous generation died between acquisitions; treat
-            # every shard as failed and let recovery (fresh pools)
-            # handle them, exactly like a mid-run break.
-            log.warning("shard.pool_broken_at_submit", error=type(exc).__name__)
-            pool.poison()
-            registry.counter("retry.shards.failed").inc(len(chunks))
-            failed = list(range(len(chunks)))
-            futures = []
-        for index, future in enumerate(futures):
-            try:
-                raw = future.result(timeout=self.shard_timeout)
-            except RECOVERABLE as exc:
-                future.cancel()
-                pool.poison()
-                failed.append(index)
-                registry.counter("retry.shards.failed").inc()
-                log.warning(
-                    "shard.failed", shard=index,
-                    error=type(exc).__name__, images=len(chunks[index]),
-                )
-                continue
-            results[index] = self._decode_result(raw, chunks[index])
-        for index in failed:
-            results[index] = self._recover_chunk(chunks[index], index)
-
-    # -- shard recovery --------------------------------------------------------
-
-    def _recover_chunk(self, chunk: List[SystemImage], index: int) -> ShardResult:
-        """Bring one failed shard back: backoff-retry, then bisect."""
-        registry = get_registry()
-        last_exc: Optional[BaseException] = None
-        for attempt in range(1, self.retry.max_attempts + 1):
-            self.retry.backoff(attempt)
-            registry.counter("retry.attempts.total").inc()
-            try:
-                result = self._run_isolated(chunk, index)
-            except RECOVERABLE as exc:
-                last_exc = exc
-                log.warning(
-                    "shard.retry_failed", shard=index, attempt=attempt,
-                    error=type(exc).__name__,
-                )
-                continue
-            registry.counter("retry.recovered.total").inc()
-            log.info("shard.recovered", shard=index, attempt=attempt)
-            return result
-        if self._policy is ErrorPolicy.STRICT:
-            assert last_exc is not None
-            raise last_exc
-        registry.counter("retry.bisections.total").inc()
-        log.warning(
-            "shard.bisecting", shard=index, images=len(chunk),
-            error=type(last_exc).__name__ if last_exc else "",
-        )
-        partial, records, dropped = self._bisect(chunk, index)
-        return ShardResult(
-            partial=partial, metrics={}, shard_index=index,
-            quarantine=records, dropped=dropped,
-        )
-
-    def _run_isolated(self, chunk: List[SystemImage], index: int) -> ShardResult:
-        """Run one chunk in a fresh single-worker pool (crash firewall).
-
-        Never the warm pool: a chunk under recovery is suspected of
-        crashing workers, and the firewall's job is to contain that.
-        Falls back to in-process serial assembly of the chunk when no
-        subprocess can be created at all — per-image isolation still
-        applies there, so survivors are never lost.
-        """
-        task = self._task(chunk, index)
-        try:
-            executor = ProcessPoolExecutor(max_workers=1)
-        except POOL_UNAVAILABLE as exc:
-            log.warning("shard.recovery_pool_unavailable", error=str(exc))
-            return self._assemble_inline(chunk, index)
-        try:
-            raw = executor.submit(_assemble_shard, task).result(
-                timeout=self.shard_timeout
-            )
-            return self._decode_result(raw, chunk)
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def _assemble_inline(self, chunk: List[SystemImage], index: int) -> ShardResult:
-        """In-process serial assembly (the last-resort recovery path).
-
-        Records go straight into the coordinator assembler's quarantine,
-        so the returned result carries none of its own; the coordinator
-        fold sees an already-accounted shard.
-        """
-        self._install_inline_faults()
-        partial = self.assembler.assemble_partial(chunk, shard_index=index)
-        return ShardResult(partial=partial, metrics={}, shard_index=index)
-
-    def _bisect(
-        self, chunk: List[SystemImage], index: int
-    ) -> Tuple[PartialDataset, List[Dict[str, Any]], int]:
-        """Isolate the poisoned image(s) of a repeatedly-failing chunk.
-
-        Recursively halves the chunk, running each half in its own
-        single-worker pool, until failures are pinned to single images —
-        each of which is quarantined with stage ``worker``.  Survivors'
-        partials are concatenated in input order, so the final fold
-        stays byte-identical to assembling the clean subset serially.
-        Sub-run metrics are folded here; the aggregate result returned
-        to the caller carries an empty snapshot to avoid double counts.
-        """
-        try:
-            result = self._run_isolated(chunk, index)
-        except RECOVERABLE as exc:
-            if len(chunk) == 1:
-                image = chunk[0]
-                record = QuarantineRecord(
-                    image_id=image.image_id, stage="worker",
-                    error=type(exc).__name__,
-                    message=str(exc) or "worker process crashed or stalled",
-                    shard_index=index,
-                )
-                get_registry().counter(
-                    "quarantine.images.total", stage="worker"
-                ).inc()
-                log.warning(
-                    "image.quarantined", image=image.image_id,
-                    stage="worker", error=record.error,
-                )
-                return PartialDataset(), [record.to_dict()], 1
-            mid = (len(chunk) + 1) // 2
-            left_partial, left_records, left_dropped = self._bisect(
-                chunk[:mid], index
-            )
-            right_partial, right_records, right_dropped = self._bisect(
-                chunk[mid:], index
-            )
-            return (
-                left_partial.extend(right_partial),
-                left_records + right_records,
-                left_dropped + right_dropped,
-            )
-        if result.metrics:
-            merge_snapshot(result.metrics)
-        if result.profile:
-            merge_profile_snapshot(result.profile)
-        return result.partial, list(result.quarantine), result.dropped

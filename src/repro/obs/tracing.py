@@ -269,7 +269,7 @@ class Tracer:
     def snapshot(self, **meta: object) -> dict:
         """Everything a coordinator needs to adopt this tracer's spans.
 
-        Shipped back on ``ShardResult``/``CheckResult``: the span forest
+        Shipped back on the ``ShardResult`` envelope: the span forest
         in wire form (absolute local timestamps), this process' epoch↔
         clock anchor, and the remote parent the forest re-parents under.
         """

@@ -455,6 +455,34 @@ class TestCachedRuns:
             assert second.total("cache.miss.total") == 0
         assert cold_report.to_dict() == warm_report.to_dict()
 
+    def test_worker_holds_one_cache_across_roots(self, tmp_path, corpus):
+        """Shards under a new cache root replace the worker's cache."""
+        from repro.engine import pool
+        from repro.engine.sharding import ShardedAssembler, run_shard
+
+        def held_caches():
+            held = []
+            for value in pool._worker_state.values():
+                held.extend(value.values() if isinstance(value, dict) else [value])
+            return [v for v in held if isinstance(v, ResultCache)]
+
+        saved = dict(pool._worker_state)
+        pool._worker_state.clear()
+        try:
+            for name in ("first", "second", "first"):
+                encore = EnCore()
+                encore.set_cache(ResultCache(tmp_path / name))
+                runner = ShardedAssembler(
+                    encore.worker_config(), encore.assembler, workers=2,
+                    config_payload=encore.worker_payload(),
+                )
+                run_shard(runner._task(corpus[:2], 0))
+                (cache,) = held_caches()
+                assert cache.root == tmp_path / name
+        finally:
+            pool._worker_state.clear()
+            pool._worker_state.update(saved)
+
 
 class TestBinarySnapshots:
     def test_encb_round_trips_and_matches_json(self, tmp_path, trained_encore):

@@ -14,7 +14,6 @@ from repro.core.pipeline import EnCore, EnCoreConfig
 from repro.engine import (
     BatchChecker,
     ShardedAssembler,
-    StageEngine,
     assembled_system_from_dict,
     assembled_system_to_dict,
     chunked,
@@ -195,7 +194,9 @@ class TestBatchChecking:
     def test_rejects_bad_worker_count(self, serial_model):
         encore, _ = serial_model
         with pytest.raises(ValueError):
-            BatchChecker(encore.worker_config(), {}, workers=0)
+            BatchChecker(
+                encore.worker_config(), encore.model_payload(), workers=0
+            )
 
 
 class TestIncrementalTraining:
@@ -288,6 +289,23 @@ class TestArtifacts:
         assert restored.shard_index == 2
         assert restored.partial == result.partial
 
+    def test_shard_result_elides_empty_kind_fields(self, assembled,
+                                                   small_corpus, serial_model):
+        encore, _ = serial_model
+        assembly = ShardResult(partial=PartialDataset.from_systems(assembled[:2]))
+        check = ShardResult(reports=encore.check_many(small_corpus[:3]),
+                            drift={"observed": 3})
+        assert "reports" not in assembly.to_dict()
+        assert "drift" not in assembly.to_dict()
+        assert "partial" not in check.to_dict()
+        restored = ShardResult.from_bytes(check.to_bytes())
+        assert restored.partial == PartialDataset()
+        assert restored.drift == {"observed": 3}
+        # the wire form keeps full-precision scores
+        assert [r.warnings for r in restored.reports] == [
+            r.warnings for r in check.reports
+        ]
+
     def test_report_round_trip(self, small_corpus, serial_model, held_out_image):
         encore, _ = serial_model
         broken = held_out_image.copy("artifact-rt")
@@ -325,26 +343,3 @@ class TestStageGraph:
         rendered = render_stage_graph()
         for spec in stage_graph():
             assert spec.name in rendered
-
-
-class TestStageEngine:
-    def test_assemble_then_infer_matches_facade(self, small_corpus, serial_model):
-        _, baseline = serial_model
-        engine = StageEngine(workers=2)
-        dataset = engine.assemble(small_corpus)
-        assert dataset.fingerprint() == baseline.dataset.fingerprint()
-        result = engine.infer(dataset)
-        assert result.rules.to_json() == baseline.rules.to_json()
-
-    def test_train_and_detect(self, small_corpus):
-        engine = StageEngine(workers=2)
-        model = engine.train(small_corpus[:20])
-        assert model.rule_count > 0
-        reports = list(engine.detect(small_corpus[:4]))
-        assert [r.image_id for r in reports] == [
-            i.image_id for i in small_corpus[:4]
-        ]
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            StageEngine(workers=0)

@@ -266,35 +266,61 @@ class TestChaosInvariant:
             encore.train(poisoned, workers=2)
 
 
+STAGES = ["train", "check"]
+
+
+def _encore_for(stage, corpus, **config):
+    """A quarantine-policy EnCore; check runs get a serially trained model."""
+    encore = EnCore(EnCoreConfig(error_policy="quarantine", **config))
+    if stage == "check":
+        encore.train(corpus)
+    return encore
+
+
+def _serial_reference(stage, encore, images):
+    """What a fault-free serial run over *images* produces."""
+    if stage == "train":
+        return EnCore(EnCoreConfig(error_policy="strict")).train(images).ruleset_digest()
+    return [encore.check(image).to_dict() for image in images]
+
+
+def _sharded(stage, encore, images, **kwargs):
+    """The same stage at ``workers=2``, comparable with the reference."""
+    if stage == "train":
+        return encore.train(images, workers=2, **kwargs).ruleset_digest()
+    return [r.to_dict() for r in encore.check_stream(images, workers=2, **kwargs)]
+
+
 class TestWorkerCrashRecovery:
-    def test_crash_once_recovers_by_retry(self, corpus, fresh_registry, tmp_path):
-        baseline = EnCore(EnCoreConfig(error_policy="strict"))
-        baseline.train(corpus)
-        encore = EnCore(EnCoreConfig(error_policy="quarantine"))
+    """Train and check share one fault contract: retry, bisect, quarantine."""
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_crash_once_recovers_by_retry(self, stage, corpus, fresh_registry,
+                                          tmp_path):
+        encore = _encore_for(stage, corpus)
+        reference = _serial_reference(stage, encore, corpus)
         encore.retry_policy = fast_retry()
         encore.fault_plan = FaultPlan.crash_once(tmp_path, corpus[5].image_id)
-        model = encore.train(corpus, workers=2)
+        assert _sharded(stage, encore, corpus) == reference
         # the crash burned out on its first firing: nothing quarantined
         assert not encore.quarantine.records
-        assert model.ruleset_digest() == baseline.model.ruleset_digest()
         assert fresh_registry.total("retry.shards.failed") >= 1
         assert fresh_registry.total("retry.attempts.total") >= 1
         assert fresh_registry.total("retry.recovered.total") >= 1
 
-    def test_crash_always_bisects_to_the_image(self, corpus, fresh_registry,
-                                               tmp_path):
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_crash_always_bisects_to_the_image(self, stage, corpus,
+                                               fresh_registry, tmp_path):
         victim = corpus[5].image_id
         clean = [image for image in corpus if image.image_id != victim]
-        baseline = EnCore(EnCoreConfig(error_policy="strict"))
-        baseline.train(clean)
-        encore = EnCore(EnCoreConfig(error_policy="quarantine"))
+        encore = _encore_for(stage, corpus)
+        reference = _serial_reference(stage, encore, clean)
         encore.retry_policy = fast_retry(max_attempts=2)
         encore.fault_plan = FaultPlan.crash_always(tmp_path, victim)
-        model = encore.train(corpus, workers=2)
+        assert _sharded(stage, encore, corpus) == reference
         # exactly the poisoned image is quarantined, as a worker fault
         assert encore.quarantine.image_ids() == [victim]
         assert encore.quarantine.records[0].stage == "worker"
-        assert model.ruleset_digest() == baseline.model.ruleset_digest()
         assert fresh_registry.total("retry.bisections.total") >= 1
         assert fresh_registry.total("quarantine.images.total") == 1
 
@@ -314,25 +340,25 @@ class TestWorkerCrashRecovery:
         assert encore.quarantine.records[0].stage == "worker"
         assert len(model.dataset) == len(corpus) - 1
 
-    def test_hang_recovers_via_shard_timeout(self, corpus, fresh_registry,
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_hang_recovers_via_shard_timeout(self, stage, corpus, fresh_registry,
                                              tmp_path):
         victim = corpus[2].image_id
         subset = corpus[:8]
         clean = [image for image in subset if image.image_id != victim]
-        baseline = EnCore(EnCoreConfig(error_policy="strict"))
-        baseline.train(clean)
-        encore = EnCore(EnCoreConfig(error_policy="quarantine", max_error_rate=0.2))
+        encore = _encore_for(stage, corpus, max_error_rate=0.2)
+        reference = _serial_reference(stage, encore, clean)
         encore.retry_policy = fast_retry(max_attempts=1)
         encore.shard_timeout = 1.5
         plan = FaultPlan.hang_always(tmp_path, victim, hang_seconds=30.0)
         encore.fault_plan = plan
         try:
-            model = encore.train(subset, workers=2, chunk_size=4)
+            # the stream finishes: the stalled shard is bisected in place
+            assert _sharded(stage, encore, subset, chunk_size=4) == reference
         finally:
             plan.stop_hangs()
         assert encore.quarantine.image_ids() == [victim]
         assert encore.quarantine.records[0].stage == "worker"
-        assert model.ruleset_digest() == baseline.model.ruleset_digest()
 
 
 def _checker_with(policy, baseline):
@@ -374,11 +400,13 @@ class TestBatchMidStreamFallback:
         victim = corpus[10].image_id
         encore.fault_plan = FaultPlan.crash_always(tmp_path, victim)
         reports = list(encore.check_stream(corpus, workers=2, chunk_size=5))
-        # the crashing target is quarantined by the in-process fallback,
-        # every other target still gets its report
+        # the crashing target is bisected out and quarantined as a
+        # worker fault; every other target still gets its report
         assert len(reports) == len(corpus) - 1
         assert victim in encore.quarantine.image_ids()
-        assert fresh_registry.total("batch.serial_fallback.total") >= 1
+        (record,) = [r for r in encore.quarantine.records if r.image_id == victim]
+        assert record.stage == "worker"
+        assert fresh_registry.total("retry.bisections.total") >= 1
 
 
 class TestCLIResilience:

@@ -58,7 +58,7 @@ sharded runs report the same telemetry totals as serial ones.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as ShardTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
@@ -116,10 +116,11 @@ T = TypeVar("T")
 log = get_logger("engine.sharding")
 
 #: Shard failures the recovery layer absorbs: a crashed worker breaks
-#: the whole pool; a stalled worker trips the optional shard timeout.
-#: Everything else (parse errors under strict policy, programming
-#: errors) propagates unchanged.
-RECOVERABLE = (BrokenProcessPool, ShardTimeout)
+#: the whole pool; a stalled worker trips the optional shard timeout; a
+#: shard still queued when the shared pool is respawned (by a stale-pool
+#: submit or a concurrent run) is cancelled.  Everything else (parse
+#: errors under strict policy, programming errors) propagates unchanged.
+RECOVERABLE = (BrokenProcessPool, ShardTimeout, CancelledError)
 
 #: Pool-creation failures that mean "no subprocess can be created here"
 #: (restricted sandboxes) — shards then run in-process.

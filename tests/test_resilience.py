@@ -324,6 +324,47 @@ class TestWorkerCrashRecovery:
         assert fresh_registry.total("retry.bisections.total") >= 1
         assert fresh_registry.total("quarantine.images.total") == 1
 
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_cancelled_shards_recover_by_retry(self, stage, corpus,
+                                               fresh_registry, monkeypatch):
+        """A respawned shared pool cancels queued shards; they are retried."""
+        from concurrent.futures import Future
+
+        from repro.engine import sharding
+
+        class RespawnedPool:
+            def submit(self, fn, *args):
+                future = Future()
+                future.cancel()
+                return future
+
+            def poison(self):
+                pass
+
+        encore = _encore_for(stage, corpus)
+        reference = _serial_reference(stage, encore, corpus[:8])
+        encore.retry_policy = fast_retry()
+        monkeypatch.setattr(sharding, "get_warm_pool", lambda workers: RespawnedPool())
+        assert _sharded(stage, encore, corpus[:8], chunk_size=4) == reference
+        assert not encore.quarantine.records
+        assert fresh_registry.total("retry.recovered.total") == 2
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_no_subprocess_runs_shards_in_process(self, stage, corpus,
+                                                  monkeypatch):
+        """Restricted sandboxes: every shard runs through run_shard in-process."""
+        from repro.engine import pool, sharding
+
+        class NoPool:
+            def submit(self, fn, *args):
+                raise PermissionError("no subprocesses here")
+
+        encore = _encore_for(stage, corpus)
+        reference = _serial_reference(stage, encore, corpus[:8])
+        monkeypatch.setattr(sharding, "get_warm_pool", lambda workers: NoPool())
+        monkeypatch.setattr(pool, "_worker_state", {})
+        assert _sharded(stage, encore, corpus[:8], chunk_size=4) == reference
+
     def test_crash_always_under_strict_propagates(self, corpus, tmp_path):
         encore = EnCore(EnCoreConfig(error_policy="strict"))
         encore.retry_policy = fast_retry(max_attempts=2)

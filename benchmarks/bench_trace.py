@@ -45,8 +45,9 @@ def measure_overhead(
     """Best-of-N check-pass walls, bare vs traced + flight-recorded."""
     from repro.core.pipeline import EnCore
     from repro.corpus.generator import Ec2CorpusGenerator
-    from repro.obs.flight import FlightRecorder, set_flight
-    from repro.obs.tracing import Tracer, set_tracer
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.telemetry import scope
+    from repro.obs.tracing import Tracer
 
     generator = Ec2CorpusGenerator(seed=seed)
     images = list(generator.generate(corpus_size))
@@ -55,20 +56,12 @@ def measure_overhead(
     targets = [generator.generate_one(7000 + i) for i in range(checks)]
 
     def check_pass(traced: bool) -> Dict[str, object]:
-        tracer = Tracer() if traced else None
         flight = FlightRecorder() if traced else None
-        if traced:
-            set_tracer(tracer)
-            set_flight(flight)
-        try:
+        with scope(tracer=Tracer() if traced else None, flight=flight):
             start = time.perf_counter()
             for image in targets:
                 encore.check(image)
             wall = time.perf_counter() - start
-        finally:
-            if traced:
-                set_tracer(None)
-                set_flight(None)
         spans = flight.totals()["spans"] if traced else 0
         return {"wall": wall, "spans": spans}
 

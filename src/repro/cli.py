@@ -58,8 +58,8 @@ from repro.core.repair import RepairAdvisor
 from repro.corpus.generator import Ec2CorpusGenerator
 from repro.corpus.private_cloud import PrivateCloudGenerator
 from repro.obs import configure as configure_logging
-from repro.obs import get_logger, get_registry, render_stats, reset_registry
-from repro.obs.tracing import Tracer, set_tracer
+from repro.obs import current, get_logger, get_registry, render_stats, scope
+from repro.obs.tracing import Tracer
 from repro.sysmodel.image import SystemImage
 from repro.sysmodel.snapshot import load_image, save_image
 
@@ -165,10 +165,9 @@ def _record_ledger(
     if encore.quarantine.dropped:
         quarantine_meta = dict(encore.quarantine.counts_by_stage())
         quarantine_meta["total"] = encore.quarantine.dropped
-    from repro.obs.profile import get_profiler
-
+    telemetry = current()
     profile_meta: Dict[str, object] = {}
-    profiler = get_profiler()
+    profiler = telemetry.profiler
     if profiler is not None and (profiler.stages or profiler.shards):
         profile_meta = {
             "digest": profiler.digest(),
@@ -179,10 +178,8 @@ def _record_ledger(
                 + [int(s.get("max_rss_bytes", 0)) for s in profiler.shards]
             ),
         }
-    from repro.obs.health import get_monitor
-
     incidents_meta: List[Dict[str, object]] = []
-    monitor = get_monitor()
+    monitor = telemetry.monitor
     if monitor is not None:
         # Final tick so state at run end (including resolves) is current,
         # then record every incident the run produced, open or closed.
@@ -192,7 +189,7 @@ def _record_ledger(
                 [i.to_dict() for i in monitor.engine.firing_incidents()]
                 + [i.to_dict() for i in monitor.engine.resolved]
             )
-    totals = metric_totals(get_registry())
+    totals = metric_totals(telemetry.registry)
     cache_meta: Dict[str, object] = {}
     if getattr(encore, "cache", None) is not None:
         cache_meta = {
@@ -1267,39 +1264,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     verbosity = -1 if getattr(args, "quiet", False) else getattr(args, "verbose", 0)
     configure_logging(verbosity=verbosity,
                       json_lines=getattr(args, "log_json", False))
-    reset_registry()
-    tracer: Optional[Tracer] = None
-    if getattr(args, "trace", None):
-        tracer = Tracer()
-        set_tracer(tracer)
-    profiler = None
-    if getattr(args, "profile", None):
-        from repro.obs.profile import StageProfiler, set_profiler
-
-        profiler = StageProfiler().start()
-        set_profiler(profiler)
-        if tracer is None:
-            # The profile document embeds the span tree (Chrome export
-            # needs it), so profiling implies an in-memory tracer even
-            # without --trace; it is only saved into the profile.
-            tracer = Tracer()
-            set_tracer(tracer)
-    flight = None
-    if args.command in FLIGHT_COMMANDS:
-        # Always-on black box for pipeline runs: closed spans, log
-        # records, errors, and incidents land in bounded rings, dumped
-        # to .encore/flight.json at exit for `repro doctor` to bundle.
-        from repro.obs.flight import FlightRecorder, set_flight
-
-        flight = set_flight(FlightRecorder())
+    get_registry().reset()
     monitor = None
     if (getattr(args, "alerts", None)
             and args.command not in ("serve", "alerts", "watch")):
         # serve builds its own monitor (sampling under its fold lock);
-        # here the monitor follows the process registry and is ticked
+        # here the monitor follows the current registry and is ticked
         # by the engine fold loops (sharded assembly, batch checking).
         from repro.obs.alerts import AlertConfigError
-        from repro.obs.health import build_monitor, set_monitor
+        from repro.obs.health import build_monitor
 
         try:
             monitor = build_monitor(
@@ -1309,70 +1282,79 @@ def main(argv: Optional[List[str]] = None) -> int:
         except AlertConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        set_monitor(monitor)
-        log.info("alerts.armed", path=str(args.alerts),
-                 rules=len(monitor.engine.rules))
+    profiler = None
+    if getattr(args, "profile", None):
+        from repro.obs.profile import StageProfiler
+
+        profiler = StageProfiler()
+    # The profile document embeds the span tree (Chrome export needs it),
+    # so profiling implies an in-memory tracer even without --trace; it
+    # is then only saved into the profile.
+    tracer = None
+    if getattr(args, "trace", None) or profiler is not None:
+        tracer = Tracer()
+    flight = None
+    if args.command in FLIGHT_COMMANDS:
+        # Always-on black box for pipeline runs: closed spans, log
+        # records, errors, and incidents land in bounded rings, dumped
+        # to .encore/flight.json at exit for `repro doctor` to bundle.
+        from repro.obs.flight import FlightRecorder
+
+        flight = FlightRecorder()
     from repro.core.persistence import SnapshotCorruptError
     from repro.core.resilience import ErrorBudgetExceeded
 
-    try:
-        return args.func(args)
-    except ErrorBudgetExceeded as exc:
-        log.error("run.aborted", error="ErrorBudgetExceeded")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SnapshotCorruptError as exc:
-        log.error("run.aborted", error="SnapshotCorruptError")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if monitor is not None:
-            from repro.obs.health import set_monitor
-
-            set_monitor(None)
-            firing = monitor.engine.firing_incidents()
-            if firing:
-                print(f"\n{len(firing)} alert(s) still firing at run end:",
-                      file=sys.stderr)
-                for incident in firing:
-                    print(f"  {incident.describe()}", file=sys.stderr)
-        if tracer is not None:
-            set_tracer(None)
-            if getattr(args, "trace", None):
+    with scope(tracer=tracer, profiler=profiler, flight=flight, monitor=monitor):
+        try:
+            if profiler is not None:
+                profiler.start()
+            if monitor is not None:
+                log.info("alerts.armed", path=str(args.alerts),
+                         rules=len(monitor.engine.rules))
+            return args.func(args)
+        except ErrorBudgetExceeded as exc:
+            log.error("run.aborted", error="ErrorBudgetExceeded")
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except SnapshotCorruptError as exc:
+            log.error("run.aborted", error="SnapshotCorruptError")
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            if monitor is not None:
+                firing = monitor.engine.firing_incidents()
+                if firing:
+                    print(f"\n{len(firing)} alert(s) still firing at run end:",
+                          file=sys.stderr)
+                    for incident in firing:
+                        print(f"  {incident.describe()}", file=sys.stderr)
+            if tracer is not None and getattr(args, "trace", None):
                 tracer.save(args.trace)
-                log.info("trace.saved", path=args.trace,
-                         spans=len(tracer.roots))
-        if profiler is not None:
-            from repro.obs.profile import (
-                profile_document, save_profile, set_profiler,
-            )
+                log.info("trace.saved", path=args.trace, spans=len(tracer.roots))
+            if profiler is not None:
+                from repro.obs.profile import profile_document, save_profile
 
-            set_profiler(None)
-            profiler.stop()
-            doc = profile_document(
-                profiler, tracer,
-                command=args.command,
-                workers=getattr(args, "workers", 1) or 1,
-                run_seconds=round(time.monotonic() - args._run_started, 6),
-            )
-            save_profile(doc, args.profile)
-            log.info("profile.saved", path=args.profile,
-                     stages=len(profiler.stages), shards=len(profiler.shards))
-        metrics_dest = getattr(args, "metrics", None)
-        if metrics_dest:
-            snapshot = get_registry().to_json()
-            if metrics_dest == "-":
-                print(snapshot)
-            else:
-                from repro.obs.fileio import atomic_write_text
+                profiler.stop()
+                doc = profile_document(
+                    profiler, tracer,
+                    command=args.command,
+                    workers=getattr(args, "workers", 1) or 1,
+                    run_seconds=round(time.monotonic() - args._run_started, 6),
+                )
+                save_profile(doc, args.profile)
+                log.info("profile.saved", path=args.profile,
+                         stages=len(profiler.stages), shards=len(profiler.shards))
+            metrics_dest = getattr(args, "metrics", None)
+            if metrics_dest:
+                snapshot = get_registry().to_json()
+                if metrics_dest == "-":
+                    print(snapshot)
+                else:
+                    from repro.obs.fileio import atomic_write_text
 
-                atomic_write_text(metrics_dest, snapshot + "\n")
-                log.info("metrics.saved", path=metrics_dest)
-        if flight is not None:
-            from repro.obs.flight import set_flight
-
-            set_flight(None)
-            if len(flight):
+                    atomic_write_text(metrics_dest, snapshot + "\n")
+                    log.info("metrics.saved", path=metrics_dest)
+            if flight is not None and len(flight):
                 flight.save(DEFAULT_FLIGHT_PATH)
 
 

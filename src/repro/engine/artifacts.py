@@ -237,18 +237,18 @@ class ShardResult:
 
     The kind-specific fields are ``partial`` (assembled rows), ``reports``
     and ``drift`` (a :meth:`repro.obs.model.DriftMonitor.to_dict`
-    snapshot); a shard fills the ones its kind produces.  ``metrics`` is
-    a :meth:`repro.obs.metrics.MetricsRegistry.to_dict` snapshot of the
-    worker's process-local registry; the coordinator folds it (and the
-    drift snapshot) so sharded runs report the same totals as serial
-    ones.  Empty kind-specific fields and empty ``spans`` are elided from
-    the encoded forms.
+    snapshot); a shard fills the ones its kind produces.  ``telemetry``
+    is the :meth:`repro.obs.telemetry.Telemetry.snapshot` of the shard's
+    scope (metrics, plus profile and spans when the task asked for
+    them); the coordinator folds it (and the drift snapshot) so sharded
+    runs report the same totals as serial ones.  Empty kind-specific
+    fields and an empty ``telemetry`` are elided from the encoded forms.
     """
 
     partial: PartialDataset = field(default_factory=PartialDataset)
     reports: List[Report] = field(default_factory=list)
     drift: Dict[str, Any] = field(default_factory=dict)
-    metrics: Dict[str, Any] = field(default_factory=dict)
+    telemetry: Dict[str, Any] = field(default_factory=dict)
     shard_index: int = 0
     #: Serialised :class:`~repro.core.resilience.QuarantineRecord` dicts
     #: for images this shard dropped under a non-strict error policy.
@@ -256,21 +256,12 @@ class ShardResult:
     #: Total images dropped, including silent ``skip``-policy drops that
     #: keep no record — what the coordinator's error budget counts.
     dropped: int = 0
-    #: :meth:`repro.obs.profile.StageProfiler.to_dict` snapshot of the
-    #: worker's resource profile; empty unless the coordinator is
-    #: profiling (the payload carries the flag).
-    profile: Dict[str, Any] = field(default_factory=dict)
-    #: :meth:`repro.obs.tracing.Tracer.snapshot` of the worker's span
-    #: forest; empty unless the payload shipped a trace context.
-    spans: Dict[str, Any] = field(default_factory=dict)
 
     def _encode(self, wire: bool) -> Dict[str, Any]:
         out: Dict[str, Any] = {
-            "metrics": self.metrics,
             "shard_index": self.shard_index,
             "quarantine": list(self.quarantine),
             "dropped": self.dropped,
-            "profile": dict(self.profile),
         }
         if self.partial.systems:
             out["partial"] = partial_to_dict(self.partial, include_images=not wire)
@@ -280,8 +271,8 @@ class ShardResult:
             ]
         if self.drift:
             out["drift"] = dict(self.drift)
-        if self.spans:
-            out["spans"] = dict(self.spans)
+        if self.telemetry:
+            out["telemetry"] = dict(self.telemetry)
         return out
 
     def to_dict(self) -> Dict[str, Any]:
@@ -310,12 +301,10 @@ class ShardResult:
             ),
             reports=[report_from_dict(r) for r in data.get("reports", ())],
             drift=dict(data.get("drift", {})),
-            metrics=dict(data.get("metrics", {})),
+            telemetry=dict(data.get("telemetry", {})),
             shard_index=int(data.get("shard_index", 0)),
             quarantine=[dict(r) for r in data.get("quarantine", ())],
             dropped=int(data.get("dropped", 0)),
-            profile=dict(data.get("profile", {})),
-            spans=dict(data.get("spans", {})),
         )
 
     @classmethod

@@ -50,9 +50,12 @@ Failure handling has three layers, the same for train and check (see
    the run.  When no subprocess can be created at all, shards run
    in-process through the same :func:`run_shard`.
 
-Workers record into a fresh process-local metrics registry per shard
-and return its snapshot; the coordinator merges those snapshots so
-sharded runs report the same telemetry totals as serial ones.
+Each shard runs in a telemetry scope (:mod:`repro.obs.telemetry`) built
+only from the task frame's ``telemetry`` spec — a fresh metrics
+registry, plus a tracer and a profiler when the coordinator has them —
+and ships that scope's snapshot back on its result.  The coordinator
+folds each snapshot into its own scope with one merge, so sharded runs
+report the same metric totals, profile and span tree as serial ones.
 """
 
 from __future__ import annotations
@@ -91,23 +94,10 @@ from repro.engine.pool import (
     worker_cache,
     worker_encore,
     worker_install_model,
-    worker_tracer,
 )
 from repro.obs import get_logger
-from repro.obs.health import maybe_tick as health_tick
-from repro.obs.metrics import (
-    MetricsRegistry,
-    get_registry,
-    merge_snapshot,
-    use_registry,
-)
-from repro.obs.profile import (
-    StageProfiler,
-    get_profiler,
-    merge_profile_snapshot,
-    set_profiler,
-)
-from repro.obs.tracing import current_context, merge_remote_spans, span, use_tracer
+from repro.obs.telemetry import Telemetry, current, get_registry, scope
+from repro.obs.tracing import span
 from repro.sysmodel.image import SystemImage
 from repro.sysmodel.snapshot import image_from_dict
 
@@ -220,25 +210,20 @@ def run_shard(task: bytes) -> bytes:
     under the error policy (a quarantined target yields no report);
     any other task assembles its images into a partial dataset.  Must
     stay a module-level function (picklable under every multiprocessing
-    start method).  The shard records into a fresh registry pushed with
-    :func:`~repro.obs.metrics.use_registry` — an override, not a default
-    swap, because a warm-pool worker may have been forked while its
-    parent thread held a request-scoped override (the serve daemon) and
-    that fork-copy would otherwise shadow a plain ``set_registry`` and
-    leak counts across shards.  The pipeline and installed model are
-    cached per worker process (:mod:`repro.engine.pool`) and reset per
-    shard.
+    start method).  The shard records into a telemetry scope built only
+    from the task's ``telemetry`` spec — never the scope a warm-pool
+    worker inherited from the parent it was forked from, nor the
+    coordinator's when a shard runs in-process — and the previous scope
+    is back in place when it returns.  The pipeline and installed model
+    are cached per worker process (:mod:`repro.engine.pool`) and reset
+    per shard.
     """
     payload = codec.decode(task)
     shard_index = payload["shard_index"]
     kind = "check" if "model" in payload else "assemble"
-    tracer = worker_tracer(payload, shard_index)
-    with use_registry(MetricsRegistry()), (
-        use_tracer(tracer) if tracer is not None else nullcontext()
-    ):
-        profiler = None
-        if payload.get("profile"):
-            profiler = set_profiler(StageProfiler().start())
+    seed = f"shard{shard_index}"
+    with scope(Telemetry.from_spec(payload.get("telemetry", {}), seed)) as telemetry:
+        tracer, profiler = telemetry.tracer, telemetry.profiler
         try:
             encore = worker_encore(payload["config"], payload["config_digest"])
             if kind == "check":
@@ -278,17 +263,12 @@ def run_shard(task: bytes) -> bytes:
                     result.partial = encore.assembler.assemble_partial(
                         images, shard_index=shard_index
                     )
-            result.metrics = get_registry().to_dict()
+            result.telemetry = telemetry.snapshot(shard=shard_index)
             result.quarantine = encore.quarantine.to_dicts()
             result.dropped = encore.quarantine.dropped
-            if profiler is not None:
-                result.profile = profiler.to_dict()
-            if tracer is not None:
-                result.spans = tracer.snapshot(shard=shard_index)
             return result.to_bytes()
         finally:
             if profiler is not None:
-                set_profiler(None)
                 profiler.stop()
 
 
@@ -358,13 +338,11 @@ class ShardRunner:
             payload["model"], payload["model_digest"] = self.model_bytes
         if self.fault_plan is not None:
             payload["faults"] = self.fault_plan.to_dict()
-        if get_profiler() is not None:
-            payload["profile"] = True
-        context = current_context()
-        if context is not None:
-            # Propagate the coordinator's trace identity: the worker
-            # re-parents its span forest under the span active here.
-            payload["trace"] = context.to_dict()
+        spec = current().spec()
+        if spec:
+            # The coordinator's trace identity (the worker re-parents its
+            # span forest under the span active here) and profiling flag.
+            payload["telemetry"] = spec
         if self.cache is not None and self.cache.root is not None:
             # Assembly resolved every hit in its coordinator pre-pass, so
             # its workers only store; check workers look up and store.
@@ -391,7 +369,7 @@ class ShardRunner:
             futures = []
         for index, chunk in enumerate(chunks):
             if not futures:
-                parts = [self._run_inline(tasks[index], chunk)]
+                parts = [_decode(run_shard(tasks[index]), chunk)]
             else:
                 try:
                     raw = futures[index].result(timeout=self.shard_timeout)
@@ -410,22 +388,19 @@ class ShardRunner:
 
     def _fold(self, parts: List[ShardResult]) -> None:
         """Fold one shard's worker telemetry into the coordinator."""
+        telemetry = current()
         for part in parts:
-            if part.metrics:
-                merge_snapshot(part.metrics)
-            if part.profile:
-                merge_profile_snapshot(part.profile)
-            if part.spans:
-                merge_remote_spans(part.spans)
+            telemetry.merge(part.telemetry)
             if part.drift and self.drift is not None:
                 self.drift.merge_snapshot(part.drift)
             self.quarantine.extend_dicts(part.quarantine, dropped=part.dropped)
-        get_registry().counter(f"{self.kind}.shards.total").inc()
+        telemetry.registry.counter(f"{self.kind}.shards.total").inc()
         # Long sharded runs tick the health monitor once per folded shard
-        # (no-op unless one is installed and its sampling interval
-        # elapsed), so a multi-hour run still gets timeline points and
-        # alert evaluation without a second thread.
-        health_tick()
+        # (no-op until its sampling interval elapsed), so a multi-hour run
+        # still gets timeline points and alert evaluation without a
+        # second thread.
+        if telemetry.monitor is not None:
+            telemetry.monitor.maybe_tick()
 
     # -- shard recovery --------------------------------------------------------
 
@@ -464,35 +439,21 @@ class ShardRunner:
         Never the warm pool: a chunk under recovery is suspected of
         crashing workers, and the firewall's job is to contain that.
         Falls back to running the shard in-process when no subprocess
-        can be created at all — per-image isolation still applies there,
-        so survivors are never lost.
+        can be created at all — per-image isolation still applies there
+        (inside the coordinator a fault plan raises instead of killing
+        the process), so survivors are never lost.
         """
         task = self._task(chunk, index)
         try:
             executor = ProcessPoolExecutor(max_workers=1)
         except POOL_UNAVAILABLE as exc:
             log.warning("shard.recovery_pool_unavailable", error=str(exc))
-            return self._run_inline(task, chunk)
+            return _decode(run_shard(task), chunk)
         try:
             raw = executor.submit(run_shard, task).result(timeout=self.shard_timeout)
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
         return _decode(raw, chunk)
-
-    def _run_inline(self, task: bytes, chunk: List[SystemImage]) -> ShardResult:
-        """Run a shard in-process without clobbering the caller's profiler.
-
-        :func:`run_shard` scopes its metrics and tracer with overrides
-        (popped on exit), but the profiler is a process global it clears
-        in its ``finally`` — restore the caller's one here.  Inside the
-        coordinator a fault plan raises instead of killing the process,
-        so the error policy contains it.
-        """
-        parent_profiler = get_profiler()
-        try:
-            return _decode(run_shard(task), chunk)
-        finally:
-            set_profiler(parent_profiler)
 
     def _bisect(self, chunk: List[SystemImage], index: int) -> List[ShardResult]:
         """Isolate the poisoned image(s) of a repeatedly-failing chunk.

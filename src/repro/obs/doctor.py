@@ -35,6 +35,8 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.obs.telemetry import current
+
 #: Where ``repro doctor`` writes (and ``repro doctor check`` reads) by
 #: default.
 DEFAULT_BUNDLE_PATH = ".encore/doctor-bundle.tar.gz"
@@ -174,9 +176,7 @@ def collect_members(
 
     # The flight recorder: the live in-process one wins (a daemon or an
     # instrumented run bundling itself), else the last saved dump.
-    from repro.obs.flight import get_flight
-
-    recorder = get_flight()
+    recorder = current().flight
     if recorder is not None:
         members["flight.json"] = _json_member(recorder.to_dict())
     else:

@@ -14,8 +14,8 @@ dumps per ring, ordered by timestamp, and keeps the newest ``capacity``
 entries — an associative fold, so combining recorder dumps from several
 processes in any grouping yields the same recent history.
 
-Hook points (all optional — everything no-ops until a recorder is
-installed via :func:`set_flight`):
+Hook points (all optional — everything no-ops unless the current
+telemetry scope holds a recorder, see :mod:`repro.obs.telemetry`):
 
 * span closes (:mod:`repro.obs.tracing`) feed the span ring; spans that
   closed with an ``error`` attribute also feed the error ring;
@@ -197,19 +197,3 @@ class FlightRecorder:
             path, json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
         )
 
-
-# -- the process-global recorder ------------------------------------------------
-
-_active_recorder: Optional[FlightRecorder] = None
-
-
-def get_flight() -> Optional[FlightRecorder]:
-    """The installed recorder, or ``None`` (every hook then no-ops)."""
-    return _active_recorder
-
-
-def set_flight(recorder: Optional[FlightRecorder]) -> Optional[FlightRecorder]:
-    """Install (or, with ``None``, remove) the process flight recorder."""
-    global _active_recorder
-    _active_recorder = recorder
-    return recorder

@@ -4,11 +4,10 @@ Glues the three timeline pieces together for every execution mode:
 
 * the serve daemon owns a monitor and runs :meth:`HealthMonitor.run`
   on a background thread (sampling under ``metrics_lock``);
-* long CLI runs (``train`` / ``check --workers``) install the monitor
-  process-globally via :func:`set_monitor` and the engine fold loops
-  call the module-level :func:`maybe_tick` — a cheap no-op unless a
-  monitor is installed *and* its interval elapsed (the same pattern
-  the stage profiler uses with ``get_profiler``);
+* long CLI runs (``train`` / ``check --workers``) put the monitor in
+  their telemetry scope (:mod:`repro.obs.telemetry`) and the engine
+  fold loops call :meth:`HealthMonitor.maybe_tick` on it — a cheap
+  no-op until its interval elapsed;
 * listeners registered with :meth:`on_transition` receive
   ``(event, incident)`` after each evaluation — the serve daemon uses
   one to append ``serve.alert`` ledger entries, the CLI to log.
@@ -156,37 +155,6 @@ class HealthMonitor:
         self._stop.set()
         self._thread.join(timeout=timeout)
         self._thread = None
-
-
-# ---------------------------------------------------------------------------
-# Process-global monitor (mirrors the profiler's get/set pattern)
-# ---------------------------------------------------------------------------
-
-_monitor: Optional[HealthMonitor] = None
-
-
-def get_monitor() -> Optional[HealthMonitor]:
-    return _monitor
-
-
-def set_monitor(monitor: Optional[HealthMonitor]) -> Optional[HealthMonitor]:
-    """Install (or clear, with ``None``) the process-global monitor."""
-    global _monitor
-    previous = _monitor
-    _monitor = monitor
-    return previous
-
-
-def maybe_tick() -> bool:
-    """Tick the global monitor if due; no-op when none installed.
-
-    The hook the engine fold loops call once per unit of work — cost
-    when no monitor is installed is one global read and a comparison.
-    """
-    monitor = _monitor
-    if monitor is None:
-        return False
-    return monitor.maybe_tick()
 
 
 def build_monitor(

@@ -22,6 +22,9 @@ import logging
 import sys
 from typing import IO, Optional
 
+from repro.obs.telemetry import current
+from repro.obs.tracing import current_context
+
 ROOT_LOGGER_NAME = "repro"
 
 #: Marker attribute so re-configuring replaces only our handler.
@@ -70,7 +73,7 @@ class StructuredLogger:
     Records emitted inside an active span automatically carry
     ``trace_id``/``span_id`` fields (both formatters render plain
     fields, so the join works in key=value and JSON modes alike), and
-    every record — printed or not — feeds the installed
+    every record — printed or not — feeds the current telemetry's
     :class:`~repro.obs.flight.FlightRecorder`, which is how the black
     box sees DEBUG events the console suppressed.
     """
@@ -81,12 +84,12 @@ class StructuredLogger:
         self._logger = logger
 
     def _log(self, level: int, event: str, fields: dict) -> None:
-        context = _current_context()
+        context = current_context()
         if context is not None:
             fields.setdefault("trace_id", context.trace_id)
             if context.span_id:
                 fields.setdefault("span_id", context.span_id)
-        recorder = _get_flight()
+        recorder = current().flight
         if recorder is not None:
             recorder.record_log(level, self._logger.name, event, fields)
         if self._logger.isEnabledFor(level):
@@ -103,20 +106,6 @@ class StructuredLogger:
 
     def error(self, event: str, **fields: object) -> None:
         self._log(logging.ERROR, event, fields)
-
-
-def _current_context():
-    """Active trace context, imported lazily to avoid an import cycle
-    (tracing → profile → … → logging)."""
-    from repro.obs.tracing import current_context
-
-    return current_context()
-
-
-def _get_flight():
-    from repro.obs.flight import get_flight
-
-    return get_flight()
 
 
 def get_logger(name: str) -> StructuredLogger:

@@ -28,8 +28,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 #: Canonical label storage: a sorted tuple of (key, value) string pairs.
 LabelSet = Tuple[Tuple[str, str], ...]
@@ -46,9 +45,9 @@ class MetricKindError(ValueError):
     """A metric name is bound to one kind and was used as another.
 
     Raised by the registry accessors and — critically — by
-    :meth:`MetricsRegistry.merge` / :func:`merge_snapshot` when a worker
-    snapshot disagrees with the coordinator about a metric's kind
-    (counter vs gauge vs histogram).  Folding such a snapshot silently
+    :meth:`MetricsRegistry.merge` when a worker snapshot disagrees with
+    the coordinator about a metric's kind (counter vs gauge vs
+    histogram).  Folding such a snapshot silently
     would corrupt the colliding series, so the merge fails loudly,
     naming the metric.  Subclasses :class:`ValueError` for
     backward compatibility with callers catching the untyped error.
@@ -406,67 +405,7 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-# -- the process-local default registry ---------------------------------------
-
-_default_registry = MetricsRegistry()
-
-#: Per-thread registry override stack (see :func:`use_registry`).
-_thread_override = threading.local()
-
-
-def get_registry() -> MetricsRegistry:
-    """The registry all built-in instrumentation records into.
-
-    A thread holding a :func:`use_registry` override gets its own
-    registry; every other thread (and the override-free common case)
-    gets the process-local default.
-    """
-    override = getattr(_thread_override, "registry", None)
-    if override is not None:
-        return override
-    return _default_registry
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-local registry (returns the new one)."""
-    global _default_registry
-    _default_registry = registry
-    return registry
-
-
-def reset_registry() -> MetricsRegistry:
-    """Clear the process-local registry in place (returns it)."""
-    _default_registry.reset()
-    return _default_registry
-
-
-@contextmanager
-def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Route this *thread*'s instrumentation into *registry*.
-
-    The request-scoped capture primitive of the serve daemon: each
-    request thread records pipeline metrics (stage timings, detector
-    counters, its own latency histogram) into a private registry, then
-    folds it into the shared process registry under one lock — so
-    concurrent requests never race on unsynchronised counter writes.
-    Overrides nest; the previous override (or the process default) is
-    restored on exit.  Worker *processes* keep using
-    :func:`set_registry`, which swaps the process-wide default.
-    """
-    previous = getattr(_thread_override, "registry", None)
-    _thread_override.registry = registry
-    try:
-        yield registry
-    finally:
-        _thread_override.registry = previous
-
-
-def merge_snapshot(data: Mapping) -> MetricsRegistry:
-    """Fold a serialised registry snapshot into the process-local registry.
-
-    Worker processes (sharded assembly, batch checking) record into their
-    own registries and return :meth:`MetricsRegistry.to_dict` snapshots;
-    the coordinator calls this per shard so parallel runs expose the same
-    counter totals and histogram populations as a serial run.
-    """
-    return get_registry().merge(MetricsRegistry.from_dict(data))
+# The registry instrumentation records into lives in the current
+# telemetry scope (:mod:`repro.obs.telemetry`); this name stays importable
+# from here for the many call sites that only need the registry.
+from repro.obs.telemetry import get_registry  # noqa: E402,F401

@@ -3,21 +3,23 @@
 The metrics layer answers *what the pipeline did* (counters, coverage);
 this module answers *where the resources went*.  A :class:`StageProfiler`
 taps the same :func:`repro.obs.tracing.span` boundaries the tracer uses
-— install one with :func:`set_profiler` (the CLI's ``--profile`` does
-this) and every span records, keyed by stage name:
+— put one in the telemetry scope (:func:`repro.obs.telemetry.scope`; the
+CLI's ``--profile`` does this) and every span records, keyed by stage
+name:
 
 * wall seconds (the tracer's clock, injectable for tests);
 * CPU seconds (``os.times`` user+system of *this* process only, so
   worker CPU is never double-counted when worker profiles fold back);
 * peak RSS (``resource.getrusage`` high-water mark, in bytes);
 * ``tracemalloc`` allocation peak over the stage (when tracing is on —
-  the profiler starts it by default and stops it when uninstalled).
+  the profiler starts it by default and :meth:`StageProfiler.stop`
+  stops it).
 
 Worker processes (sharded assembly, batch checking) build their own
 profiler when the shard payload asks for one, wrap the whole shard in a
 :meth:`StageProfiler.shard` sample, and ship :meth:`StageProfiler.to_dict`
-back on the shard result; the coordinator folds those snapshots with
-:func:`merge_profile_snapshot`.  Both the per-stage fold
+back in the shard result's telemetry; the coordinator folds those
+snapshots with :meth:`StageProfiler.merge_dict`.  Both the per-stage fold
 (:meth:`StageProfile.merge`: sums for wall/CPU/calls, maxima for memory
 peaks) and the shard-sample fold (list concatenation) are associative,
 so a profile is complete and order-independent at any ``--workers N`` —
@@ -42,7 +44,7 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Tuple, Union
 
 try:
     import resource as _resource
@@ -263,34 +265,6 @@ class StageProfiler:
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-# -- the process-local active profiler -----------------------------------------
-
-_active_profiler: Optional[StageProfiler] = None
-
-
-def get_profiler() -> Optional[StageProfiler]:
-    return _active_profiler
-
-
-def set_profiler(profiler: Optional[StageProfiler]) -> Optional[StageProfiler]:
-    """Install (or, with ``None``, remove) the process-local profiler."""
-    global _active_profiler
-    _active_profiler = profiler
-    return profiler
-
-
-def merge_profile_snapshot(data: Mapping) -> Optional[StageProfiler]:
-    """Fold a worker's profile snapshot into the active profiler.
-
-    No-op (returning ``None``) when profiling is off — shard results
-    always carry their snapshot field, active or not.
-    """
-    profiler = _active_profiler
-    if profiler is None or not data:
-        return profiler
-    return profiler.merge_dict(data)
 
 
 # -- the profile document ------------------------------------------------------

@@ -8,18 +8,19 @@ child spans.  Instrumented code opens spans through the module-level
 * a ``*.seconds`` histogram is **always** observed in the active
   :mod:`repro.obs.metrics` registry — stage timings cost two clock reads
   even with tracing off;
-* the span *tree* is only retained when a :class:`Tracer` is installed
-  via :func:`set_tracer` (the CLI's ``--trace FILE`` does this), keeping
-  memory flat for long-lived processes.
+* the span *tree* is only retained when the current telemetry scope
+  (:mod:`repro.obs.telemetry`) holds a :class:`Tracer` (the CLI's
+  ``--trace FILE`` puts one there), keeping memory flat for long-lived
+  processes.
 
 Every tracer carries a :class:`TraceContext` — ``trace_id`` /
 ``span_id`` / ``parent_id`` — and assigns each span a deterministic id
 derived from the trace id and a per-tracer sequence counter (never from
 ``uuid``/``random``, so tests with injected clocks stay reproducible).
-The coordinator serialises :func:`current_context` into ENCB task
+The coordinator serialises the propagated context into ENCB task
 frames; worker processes rebuild a tracer seeded with their shard index
 and ship their span forest back as a :func:`Tracer.snapshot`, which
-:func:`merge_remote_spans` re-parents under the coordinator span.  The
+:meth:`Tracer.merge_remote` re-parents under the coordinator span.  The
 Chrome-trace exporter (:mod:`repro.obs.profile`) then renders one
 causally-linked tree at any ``--workers N``.
 
@@ -39,8 +40,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
-from repro.obs.metrics import get_registry
-from repro.obs.profile import get_profiler
+from repro.obs.telemetry import current
 
 
 def _derive_id(*parts: object) -> str:
@@ -238,7 +238,7 @@ class Tracer:
         stack = self._stack()
         if stack and stack[-1] is closing:
             stack.pop()
-        recorder = get_flight()
+        recorder = current().flight
         if recorder is not None:
             recorder.record_span(closing, trace_id=self.context.trace_id)
 
@@ -266,10 +266,20 @@ class Tracer:
 
     # -- distributed propagation -----------------------------------------------
 
+    def propagated_context(self) -> TraceContext:
+        """This trace's identity with the innermost open span as parent.
+
+        What a task frame built right now should carry, so the far
+        side's spans re-parent under the span active here.
+        """
+        active = self.current_span()
+        span_id = active.span_id if active is not None else self.context.span_id
+        return TraceContext(self.context.trace_id, span_id=span_id)
+
     def snapshot(self, **meta: object) -> dict:
         """Everything a coordinator needs to adopt this tracer's spans.
 
-        Shipped back on the ``ShardResult`` envelope: the span forest
+        Shipped back in the ``ShardResult``'s telemetry: the span forest
         in wire form (absolute local timestamps), this process' epoch↔
         clock anchor, and the remote parent the forest re-parents under.
         """
@@ -370,74 +380,15 @@ class TraceExemplars:
             }
 
 
-# -- the process-local active tracer -------------------------------------------
-
-_active_tracer: Optional[Tracer] = None
-
-#: Per-thread tracer override (see :func:`use_tracer`).
-_thread_override = threading.local()
-
-
-def get_tracer() -> Optional[Tracer]:
-    """The tracer :func:`span` records into for the calling thread.
-
-    A thread inside a :func:`use_tracer` block gets its request-scoped
-    tracer; otherwise the process-local tracer (or ``None``) applies.
-    """
-    override = getattr(_thread_override, "tracer", None)
-    if override is not None:
-        return override
-    return _active_tracer
-
-
-def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Install (or, with ``None``, remove) the process-local tracer."""
-    global _active_tracer
-    _active_tracer = tracer
-    return tracer
-
-
-@contextmanager
-def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
-    """Collect this *thread*'s spans into *tracer*.
-
-    The serve daemon opens one per-request tracer so every request gets
-    its own span tree (root ``serve.<route>``, children the pipeline
-    stages it ran) without cross-request interleaving in a shared
-    process tracer.  Overrides nest and restore on exit.
-    """
-    previous = getattr(_thread_override, "tracer", None)
-    _thread_override.tracer = tracer
-    try:
-        yield tracer
-    finally:
-        _thread_override.tracer = previous
-
-
 def current_context() -> Optional[TraceContext]:
-    """The calling thread's propagatable trace context (or ``None``).
+    """The calling context's propagatable trace context (or ``None``).
 
-    ``span_id`` is the innermost open span — what a task frame built
-    right now should name as its remote parent.  This is what
-    ``engine/sharding.py`` and ``engine/batch.py`` serialise into ENCB
-    payloads, and what structured log records join traces through.
+    ``span_id`` is the innermost open span of the current tracer; this
+    is what structured log records and quarantine records join traces
+    through.
     """
-    tracer = get_tracer()
-    if tracer is None:
-        return None
-    active = tracer.current_span()
-    span_id = active.span_id if active is not None else tracer.context.span_id
-    return TraceContext(tracer.context.trace_id, span_id=span_id)
-
-
-def merge_remote_spans(snapshot: dict) -> None:
-    """Fold a worker span snapshot into the active tracer (no-op without
-    one) — the span analogue of ``merge_snapshot`` for metrics."""
-    if not snapshot:
-        return
-    tracer = get_tracer()
-    if tracer is not None:
-        tracer.merge_remote(snapshot)
+    tracer = current().tracer
+    return None if tracer is None else tracer.propagated_context()
 
 
 @contextmanager
@@ -450,12 +401,14 @@ def span(name: str, **attributes: object) -> Iterator[Span]:
             ...
             s.annotate(pairs=pair_count)
 
-    When a :class:`~repro.obs.profile.StageProfiler` is installed (the
-    CLI's ``--profile``), the region's CPU time and memory peaks are
-    sampled alongside the wall clock; a raising body still closes the
-    span, annotated with ``error=<exception type>``.
+    When the current telemetry holds a
+    :class:`~repro.obs.profile.StageProfiler` (the CLI's ``--profile``),
+    the region's CPU time and memory peaks are sampled alongside the
+    wall clock; a raising body still closes the span, annotated with
+    ``error=<exception type>``.
     """
-    tracer = get_tracer()
+    telemetry = current()
+    tracer = telemetry.tracer
     if tracer is not None:
         clock = tracer.clock
         opened = tracer.open_span(name, dict(attributes))
@@ -463,7 +416,7 @@ def span(name: str, **attributes: object) -> Iterator[Span]:
         clock = time.perf_counter
         opened = Span(name, dict(attributes))
         opened.start = clock()
-    profiler = get_profiler()
+    profiler = telemetry.profiler
     profile_cm = profiler.profile(name) if profiler is not None else None
     if profile_cm is not None:
         profile_cm.__enter__()
@@ -479,12 +432,6 @@ def span(name: str, **attributes: object) -> Iterator[Span]:
             tracer.close_span(opened)
         else:
             opened.end = clock()
-            recorder = get_flight()
-            if recorder is not None:
-                recorder.record_span(opened)
-        get_registry().histogram(f"{name}.seconds").observe(opened.duration)
-
-
-# Imported late so repro.obs.flight (which needs no tracing symbols at
-# import time) never cycles back through this module.
-from repro.obs.flight import get_flight  # noqa: E402
+            if telemetry.flight is not None:
+                telemetry.flight.record_span(opened)
+        telemetry.registry.histogram(f"{name}.seconds").observe(opened.duration)

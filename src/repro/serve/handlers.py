@@ -25,8 +25,8 @@ a per-request :class:`~repro.obs.tracing.Tracer` rooted at
 ``TraceContext.root(request_id)``, so the admission wait, the replica
 check, and any pool-worker shard spans (propagated through ENCB task
 frames) render as one causally-linked trace.  Requests also run under a
-*private* per-request metrics registry
-(:func:`~repro.obs.metrics.use_registry`): all pipeline instrumentation
+*private* per-request metrics registry (both held by one
+:func:`~repro.obs.telemetry.scope`): all pipeline instrumentation
 the check emits lands there, the handler adds the request's own
 ``serve.request.latency`` observation (labels ``route``/``status``) and
 ``serve.requests.total`` increment, and the registry is folded into the
@@ -49,8 +49,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.report import Report, warning_to_dict
 from repro.obs import get_logger
-from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.tracing import TraceContext, Tracer, use_tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import scope
+from repro.obs.tracing import TraceContext, Tracer
 from repro.serve.server import (
     ApiError,
     POST_ROUTES,
@@ -263,7 +264,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         extra_headers: Optional[Dict[str, str]] = None
         outcome: Optional[RequestOutcome] = None
         elapsed = 0.0
-        with use_registry(registry), use_tracer(tracer):
+        with scope(registry=registry, tracer=tracer):
             with tracer.span("serve.request", route=route) as root:
                 with tracer.span("serve.admission.wait") as wait:
                     admitted = server.admission.try_acquire()
@@ -327,7 +328,7 @@ class ServeHandler(BaseHTTPRequestHandler):
     def _run_model_request(
         self, route: str, request_id: str
     ) -> Tuple[int, Dict[str, object], Optional[RequestOutcome]]:
-        """Parse + dispatch under the caller-installed registry/tracer."""
+        """Parse + dispatch in the caller's request telemetry scope."""
         outcome: Optional[RequestOutcome] = None
         status = 500
         payload: Dict[str, object] = {

@@ -13,12 +13,13 @@ always gets a replica without waiting.
 
 Observability is request-scoped (see ``docs/serving.md``):
 
-* every request runs under a private metrics registry and tracer
-  (:func:`repro.obs.metrics.use_registry` /
-  :func:`repro.obs.tracing.use_tracer`) folded into the process
-  registry under one lock — pipeline counters stay exact under
-  concurrency and ``serve.request.latency`` histograms (route/status
-  labels) make p50/p99 SLOs scrapeable from ``/metrics``;
+* every request thread records into the daemon's flight recorder, and
+  every model-serving request runs in a telemetry scope
+  (:func:`repro.obs.telemetry.scope`) with a private metrics registry
+  and tracer, folded into the process registry under one lock —
+  pipeline counters stay exact under concurrency and
+  ``serve.request.latency`` histograms (route/status labels) make
+  p50/p99 SLOs scrapeable from ``/metrics``;
 * ``/statusz`` reports uptime, the snapshot digest, live
   in-flight/queue depth and the SLO summary computed through
   :meth:`~repro.obs.metrics.Histogram.quantile`;
@@ -50,8 +51,9 @@ from repro.obs.ledger import (
     default_ledger,
     fingerprint_payload,
 )
-from repro.obs.flight import FlightRecorder, get_flight, set_flight
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
+from repro.obs.telemetry import scope
 from repro.obs.tracing import TraceExemplars
 
 log = get_logger("serve")
@@ -262,13 +264,12 @@ class DetectionServer(ThreadingHTTPServer):
         self.ledger_lock = threading.Lock()
         self.config_fingerprint = fingerprint_payload(config.encore.to_dict())
         self._preregister_metrics()
-        #: Always-on flight recorder: every closed span, structured log
-        #: record, error, and incident transition lands in its ring
-        #: buffers, so the last moments before an incident are always
-        #: available (``GET /flightz``, ``repro doctor``) without any
-        #: flag having been set in advance.
+        #: Always-on flight recorder: every span closed and structured
+        #: log record emitted on a request thread, and every incident
+        #: transition, lands in its ring buffers, so the last moments
+        #: before an incident are always available (``GET /flightz``,
+        #: ``repro doctor``) without any flag having been set in advance.
         self.flight = FlightRecorder()
-        set_flight(self.flight)
         #: Tail-based exemplar store behind ``GET /tracez``.
         self.exemplars = TraceExemplars()
         self.monitor = self._build_monitor()
@@ -405,8 +406,11 @@ class DetectionServer(ThreadingHTTPServer):
         self.watcher.stop()
         super().server_close()
         log.info("serve.stopped", uptime_s=round(self.uptime_s(), 3))
-        if get_flight() is self.flight:
-            set_flight(None)
+
+    def process_request_thread(self, request, client_address) -> None:
+        """Serve one connection with this daemon's flight recorder in scope."""
+        with scope(flight=self.flight):
+            super().process_request_thread(request, client_address)
 
     def uptime_s(self) -> float:
         return time.monotonic() - self.started_monotonic

@@ -17,7 +17,9 @@ Covers the PR's alerting layer end to end:
 import json
 import threading
 import time
+import tracemalloc
 import urllib.request
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -33,15 +35,10 @@ from repro.obs.alerts import (
     render_incidents,
     _parse_minitoml,
 )
-from repro.obs.health import (
-    HealthMonitor,
-    build_monitor,
-    get_monitor,
-    maybe_tick,
-    set_monitor,
-)
+from repro.obs.health import HealthMonitor, build_monitor
 from repro.obs.ledger import Ledger
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import current, scope
 from repro.obs.timeline import Timeline
 from repro.serve.server import DetectionServer, ServeConfig
 from tests.test_serve import get, post
@@ -76,11 +73,11 @@ for_s = 30
 
 
 @pytest.fixture(autouse=True)
-def _no_global_monitor():
-    """Tests must not leak a process-global monitor into each other."""
-    set_monitor(None)
+def _no_leaked_monitor():
+    """Tests must not leak a monitor into each other's telemetry scope."""
+    assert current().monitor is None
     yield
-    set_monitor(None)
+    assert current().monitor is None
 
 
 # -- TOML parsing ---------------------------------------------------------------
@@ -498,20 +495,27 @@ class TestHealthMonitor:
             monitor.stop()
         assert monitor.timeline.samples >= 2
 
-    def test_global_install_and_module_maybe_tick(self):
+    def test_shard_fold_ticks_the_scoped_monitor(self):
+        from repro.core.pipeline import EnCore
+        from repro.engine.sharding import ShardedAssembler
+
         registry = MetricsRegistry()
         registry.gauge("g").set(5.0)
         clock = FakeClock(100.0)
         monitor = HealthMonitor(rules=[gauge_rule()], interval_s=5.0,
                                 registry=registry, clock=clock)
-        assert maybe_tick() is False          # nothing installed: no-op
-        set_monitor(monitor)
-        assert get_monitor() is monitor
-        assert maybe_tick() is True
-        assert maybe_tick() is False          # within the interval
+        encore = EnCore()
+        runner = ShardedAssembler(encore.worker_config(), encore.assembler)
+        with scope(registry=MetricsRegistry()):
+            runner._fold([])                  # no monitor in scope: no-op
+        assert monitor.timeline.samples == 0
+        with scope(registry=MetricsRegistry(), monitor=monitor):
+            assert current().monitor is monitor
+            runner._fold([])                  # due: samples and evaluates
+            runner._fold([])                  # within the interval
+        assert monitor.timeline.samples == 1
         assert monitor.engine.firing
-        set_monitor(None)
-        assert maybe_tick() is False
+        assert current().monitor is None
 
     def test_build_monitor_loads_rules(self, tmp_path):
         path = tmp_path / "alerts.toml"
@@ -713,6 +717,24 @@ class TestAlertsCli:
         assert rc == 0
         assert "no incidents" in capsys.readouterr().out
 
+    def test_rejected_alert_file_leaves_telemetry_as_it_was(
+            self, tmp_path, capsys, monkeypatch):
+        """A profiled run whose --alerts file is rejected exits 1 clean:
+        no tracer, profiler or flight recorder stays in scope, and the
+        profiler has not left tracemalloc running."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--out", "corpus", "--count", "4",
+                     "--seed", "3"]) == 0
+        Path("bad.toml").write_text('[[rule]\nname = "x"\n')
+        before = current()
+        assert not tracemalloc.is_tracing()
+        rc = main(["train", "--training", "corpus", "--profile", "p.json",
+                   "--alerts", "bad.toml", "--no-ledger"])
+        assert rc == 1
+        assert "error: bad.toml" in capsys.readouterr().err
+        assert current() is before
+        assert not tracemalloc.is_tracing()
+
     def test_check_armed_run_records_incidents_in_ledger(self, tmp_path,
                                                          capsys):
         """`--alerts` on a batch run: monitor installed, final tick, ledger."""
@@ -737,7 +759,7 @@ class TestAlertsCli:
         ])
         capsys.readouterr()
         assert rc == 0
-        assert get_monitor() is None  # uninstalled on the way out
+        assert current().monitor is None  # out of scope on the way out
         entries = Ledger(ledger_path).entries()
         assert entries, "train run must land in the ledger"
         incidents = [i for e in entries for i in e.incidents]

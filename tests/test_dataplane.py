@@ -38,14 +38,15 @@ from repro.engine.pool import (
     warm_pool_stats,
 )
 from repro.engine.sharding import decode_task_images
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import scope
 
 
 @pytest.fixture()
 def registry():
-    """A fresh metrics registry scoped to the test (override, not swap)."""
+    """A fresh metrics registry scoped to the test."""
     fresh = MetricsRegistry()
-    with use_registry(fresh):
+    with scope(registry=fresh):
         yield fresh
 
 
@@ -389,14 +390,16 @@ class TestCachedRuns:
         rules = EnCore().train(corpus).rules.to_json()
         root = tmp_path / "cache"
 
-        with use_registry(MetricsRegistry()) as cold_registry:
+        cold_registry = MetricsRegistry()
+        with scope(registry=cold_registry):
             cold = EnCore()
             cold.set_cache(ResultCache(root))
             cold_rules = cold.train(corpus).rules.to_json()
             assert cold_registry.total("cache.miss.total") == len(corpus)
             assert cold_registry.total("cache.hit.total") == 0
 
-        with use_registry(MetricsRegistry()) as warm_registry:
+        warm_registry = MetricsRegistry()
+        with scope(registry=warm_registry):
             warm = EnCore()
             warm.set_cache(ResultCache(root))
             warm_rules = warm.train(corpus).rules.to_json()
@@ -413,7 +416,8 @@ class TestCachedRuns:
         primer.set_cache(ResultCache(root))
         primer.train(corpus)
 
-        with use_registry(MetricsRegistry()) as registry:
+        registry = MetricsRegistry()
+        with scope(registry=registry):
             warm = EnCore()
             warm.set_cache(ResultCache(root))
             warm_rules = warm.train(corpus, workers=2).rules.to_json()
@@ -433,7 +437,8 @@ class TestCachedRuns:
         touched = corpus[0].copy(corpus[0].image_id)
         touched.fs.add_file("/etc/touched.conf", owner="root", group="root",
                             mode=0o644)
-        with use_registry(MetricsRegistry()) as registry:
+        registry = MetricsRegistry()
+        with scope(registry=registry):
             rerun = EnCore()
             rerun.set_cache(ResultCache(root))
             rerun.train([touched] + list(corpus[1:]))
@@ -446,10 +451,12 @@ class TestCachedRuns:
         encore.set_cache(ResultCache(tmp_path / "cache"))
         target = Ec2CorpusGenerator(seed=11).generate_one(999)
 
-        with use_registry(MetricsRegistry()) as first:
+        first = MetricsRegistry()
+        with scope(registry=first):
             cold_report = encore.check(target)
             assert first.total("cache.miss.total") == 1
-        with use_registry(MetricsRegistry()) as second:
+        second = MetricsRegistry()
+        with scope(registry=second):
             warm_report = encore.check(target)
             assert second.total("cache.hit.total") == 1
             assert second.total("cache.miss.total") == 0

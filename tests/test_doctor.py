@@ -16,7 +16,8 @@ from repro.obs.doctor import (
     redact_text,
     tail_lines,
 )
-from repro.obs.flight import FlightRecorder, set_flight
+from repro.obs.flight import FlightRecorder
+from repro.obs.telemetry import scope
 
 
 @pytest.fixture()
@@ -101,11 +102,8 @@ class TestBundle:
     def test_live_flight_recorder_wins(self, state_dir):
         recorder = FlightRecorder(capacity=4)
         recorder.record_incident("fired", {"rule": "live-one"})
-        set_flight(recorder)
-        try:
+        with scope(flight=recorder):
             members = collect_members(state_dir=state_dir)
-        finally:
-            set_flight(None)
         flight = json.loads(members["flight.json"])
         assert flight["incidents"][0]["incident"]["rule"] == "live-one"
 

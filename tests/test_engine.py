@@ -24,8 +24,12 @@ from repro.engine import (
     render_stage_graph,
     stage_graph,
 )
+from repro.engine import codec
 from repro.engine.artifacts import ShardResult
-from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import StageProfiler
+from repro.obs.telemetry import Telemetry, scope
+from repro.obs.tracing import Tracer, span
 
 
 @pytest.fixture(scope="module")
@@ -127,22 +131,18 @@ class TestShardedAssembly:
         assert model.rules.to_json() == baseline.rules.to_json()
 
     def test_worker_metrics_fold_into_coordinator(self, small_corpus):
-        parent = get_registry()
-        try:
-            set_registry(MetricsRegistry())
+        with scope(registry=MetricsRegistry()) as serial:
             EnCore().train(small_corpus)
-            serial_totals = (
-                get_registry().total("assemble.systems.total"),
-                get_registry().total("assemble.attributes.original"),
-            )
-            set_registry(MetricsRegistry())
+        serial_totals = (
+            serial.registry.total("assemble.systems.total"),
+            serial.registry.total("assemble.attributes.original"),
+        )
+        with scope(registry=MetricsRegistry()) as telemetry:
             EnCore().train(small_corpus, workers=4)
-            sharded = get_registry()
-            assert sharded.total("assemble.systems.total") == serial_totals[0]
-            assert sharded.total("assemble.attributes.original") == serial_totals[1]
-            assert sharded.total("assemble.shards.total") >= 1
-        finally:
-            set_registry(parent)
+        sharded = telemetry.registry
+        assert sharded.total("assemble.systems.total") == serial_totals[0]
+        assert sharded.total("assemble.attributes.original") == serial_totals[1]
+        assert sharded.total("assemble.shards.total") >= 1
 
     def test_single_image_stays_serial(self, small_corpus):
         encore = EnCore()
@@ -282,7 +282,7 @@ class TestArtifacts:
     def test_shard_result_round_trip(self, assembled):
         result = ShardResult(
             partial=PartialDataset.from_systems(assembled[:3]),
-            metrics={"metrics": []},
+            telemetry={"metrics": {"metrics": []}},
             shard_index=2,
         )
         restored = ShardResult.from_dict(result.to_dict())
@@ -297,14 +297,33 @@ class TestArtifacts:
                             drift={"observed": 3})
         assert "reports" not in assembly.to_dict()
         assert "drift" not in assembly.to_dict()
+        assert "telemetry" not in assembly.to_dict()
+        assert "telemetry" not in codec.decode(check.to_bytes())
         assert "partial" not in check.to_dict()
         restored = ShardResult.from_bytes(check.to_bytes())
         assert restored.partial == PartialDataset()
         assert restored.drift == {"observed": 3}
+        assert restored.telemetry == {}
         # the wire form keeps full-precision scores
         assert [r.warnings for r in restored.reports] == [
             r.warnings for r in check.reports
         ]
+        # metrics, profile and spans share one telemetry field and
+        # survive the worker→coordinator hop together
+        with scope(Telemetry(tracer=Tracer(), profiler=StageProfiler())) as shard:
+            with span("assemble.image"):
+                shard.registry.counter("assemble.systems.total").inc(2)
+            with shard.profiler.shard("assemble", 0, items=2):
+                pass
+        worker = ShardResult(telemetry=shard.snapshot(shard=0))
+        assert set(worker.telemetry) == {"metrics", "profile", "spans"}
+        restored = ShardResult.from_bytes(worker.to_bytes())
+        assert restored.telemetry == worker.telemetry
+        folded = Telemetry(tracer=Tracer(), profiler=StageProfiler())
+        folded.merge(restored.telemetry)
+        assert folded.registry.total("assemble.systems.total") == 2
+        assert [s["items"] for s in folded.profiler.shards] == [2]
+        assert folded.tracer.remote[0]["spans"][0]["name"] == "assemble.image"
 
     def test_report_round_trip(self, small_corpus, serial_model, held_out_image):
         encore, _ = serial_model

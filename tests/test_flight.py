@@ -4,9 +4,10 @@ import json
 import logging as pylogging
 import threading
 
-from repro.obs.flight import FlightRecorder, get_flight, set_flight
+from repro.obs.flight import FlightRecorder
 from repro.obs.logging import get_logger
-from repro.obs.tracing import Span, TraceContext, Tracer, use_tracer
+from repro.obs.telemetry import current, scope
+from repro.obs.tracing import Span, TraceContext, Tracer
 
 
 class FakeClock:
@@ -32,8 +33,7 @@ class TestFlightRecorder:
     def test_span_hook_via_tracer(self):
         recorder = FlightRecorder(capacity=8, clock=FakeClock())
         tracer = Tracer(clock=FakeClock(), context=TraceContext.root("t1"))
-        set_flight(recorder)
-        try:
+        with scope(flight=recorder):
             with tracer.span("stage.ok"):
                 pass
             try:
@@ -41,8 +41,6 @@ class TestFlightRecorder:
                     raise ValueError("nope")
             except ValueError:
                 pass
-        finally:
-            set_flight(None)
         dump = recorder.to_dict()
         assert [entry["name"] for entry in dump["spans"]] == [
             "stage.ok", "stage.bad",
@@ -60,13 +58,9 @@ class TestFlightRecorder:
         recorder = FlightRecorder(capacity=8)
         tracer = Tracer(context=TraceContext.root("t-join"))
         log = get_logger("test.flight")
-        set_flight(recorder)
-        try:
-            with use_tracer(tracer), tracer.span("outer") as outer:
-                log.debug("quiet.event", detail=1)  # below console level
-                log.error("loud.event", detail=2)
-        finally:
-            set_flight(None)
+        with scope(flight=recorder, tracer=tracer), tracer.span("outer") as outer:
+            log.debug("quiet.event", detail=1)  # below console level
+            log.error("loud.event", detail=2)
         dump = recorder.to_dict()
         events = [entry["event"] for entry in dump["logs"]]
         # DEBUG reaches the recorder even though the console drops it.
@@ -141,7 +135,7 @@ class TestFlightRecorder:
         )
 
     def test_global_hooks_default_off(self):
-        assert get_flight() is None
+        assert current().flight is None
         # No recorder installed: module span + logger hooks must no-op.
         log = get_logger("test.flight.off")
         log.info("nobody.listening")

@@ -8,13 +8,9 @@ import pytest
 from repro.core.pipeline import EnCore
 from repro.corpus.generator import Ec2CorpusGenerator
 from repro.obs import configure, get_logger, render_stats
-from repro.obs.metrics import (
-    DEFAULT_TIME_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    set_registry,
-)
-from repro.obs.tracing import Tracer, set_tracer, span
+from repro.obs.metrics import DEFAULT_TIME_BUCKETS, Histogram, MetricsRegistry
+from repro.obs.telemetry import Telemetry, current, scope
+from repro.obs.tracing import Tracer, span
 
 
 class FakeClock:
@@ -33,12 +29,6 @@ class FakeClock:
 @pytest.fixture()
 def registry():
     return MetricsRegistry()
-
-
-@pytest.fixture(autouse=True)
-def _no_global_tracer():
-    yield
-    set_tracer(None)
 
 
 class TestCounter:
@@ -206,27 +196,22 @@ class TestTracing:
         assert root["children"][1]["attributes"] == {"rules": 7}
 
     def test_global_span_records_metric_without_tracer(self):
-        registry = set_registry(MetricsRegistry())
-        try:
+        registry = MetricsRegistry()
+        with scope(Telemetry(registry)):
             with span("stage.one", items=3) as s:
                 pass
-            assert s.end is not None
-            hist = registry.histogram("stage.one.seconds")
-            assert hist.count == 1
-        finally:
-            set_registry(MetricsRegistry())
+        assert s.end is not None
+        hist = registry.histogram("stage.one.seconds")
+        assert hist.count == 1
 
     def test_global_span_feeds_installed_tracer(self):
-        registry = set_registry(MetricsRegistry())
+        registry = MetricsRegistry()
         tracer = Tracer(clock=FakeClock())
-        set_tracer(tracer)
-        try:
+        with scope(registry=registry, tracer=tracer):
             with span("outer"):
                 with span("inner"):
                     pass
-        finally:
-            set_tracer(None)
-            set_registry(MetricsRegistry())
+        assert current().tracer is None
         assert len(tracer.roots) == 1
         assert tracer.roots[0].children[0].name == "inner"
         assert registry.histogram("inner.seconds").count == 1
@@ -254,16 +239,12 @@ class TestTracing:
         assert [s.name for s in tracer.roots] == ["detect", "after"]
 
     def test_global_span_annotates_error(self):
-        registry = set_registry(MetricsRegistry())
+        registry = MetricsRegistry()
         tracer = Tracer(clock=FakeClock())
-        set_tracer(tracer)
-        try:
-            with pytest.raises(KeyError):
-                with span("check"):
-                    raise KeyError("missing")
-        finally:
-            set_tracer(None)
-            set_registry(MetricsRegistry())
+        with pytest.raises(KeyError):
+            with scope(registry=registry, tracer=tracer), span("check"):
+                raise KeyError("missing")
+        assert current().tracer is None  # the scope unwound with the error
         assert tracer.roots[0].attributes["error"] == "KeyError"
         assert registry.histogram("check.seconds").count == 1
 
@@ -300,16 +281,13 @@ class TestPipelineTelemetry:
 
     @pytest.fixture(scope="class")
     def run_registry(self):
-        registry = set_registry(MetricsRegistry())
-        try:
+        with scope(registry=MetricsRegistry()) as telemetry:
             images = Ec2CorpusGenerator(seed=7).generate(20)
             encore = EnCore()
             model = encore.train(images)
             target = Ec2CorpusGenerator(seed=7).generate_one(999)
             encore.check(target)
-            yield registry, model
-        finally:
-            set_registry(MetricsRegistry())
+        return telemetry.registry, model
 
     def test_rules_kept_metric_nonzero(self, run_registry):
         registry, _ = run_registry

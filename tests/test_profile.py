@@ -13,14 +13,12 @@ from repro.obs.profile import (
     StageProfile,
     StageProfiler,
     chrome_trace,
-    get_profiler,
     load_profile,
-    merge_profile_snapshot,
     profile_document,
     render_profile,
-    set_profiler,
 )
-from repro.obs.tracing import Tracer, set_tracer, span
+from repro.obs.telemetry import Telemetry, current, scope
+from repro.obs.tracing import Tracer, span
 
 
 class FakeClock:
@@ -41,13 +39,6 @@ def make_profiler(step=1.0, cpu_step=0.25):
         clock=FakeClock(step), cpu_clock=FakeClock(cpu_step),
         trace_allocations=False,
     )
-
-
-@pytest.fixture(autouse=True)
-def _no_global_instruments():
-    yield
-    set_profiler(None)
-    set_tracer(None)
 
 
 class TestStageProfile:
@@ -172,19 +163,16 @@ class TestStageProfiler:
 
     def test_installed_profiler_taps_span_boundary(self):
         profiler = make_profiler()
-        set_profiler(profiler)
-        with span("infer"):
+        with scope(profiler=profiler), span("infer"):
             pass
         assert profiler.stages["infer"].calls == 1
         assert profiler.stages["infer"].wall_s == pytest.approx(1.0)
 
     def test_span_error_still_records_and_annotates(self):
         profiler = make_profiler()
-        set_profiler(profiler)
         tracer = Tracer(clock=FakeClock())
-        set_tracer(tracer)
         with pytest.raises(RuntimeError):
-            with span("detect"):
+            with scope(profiler=profiler, tracer=tracer), span("detect"):
                 raise RuntimeError("boom")
         assert profiler.stages["detect"].calls == 1
         (root,) = tracer.roots
@@ -192,16 +180,20 @@ class TestStageProfiler:
         assert root.end is not None  # closed despite the raise
 
     def test_merge_snapshot_noop_without_active_profiler(self):
-        set_profiler(None)
-        assert merge_profile_snapshot({"stages": {}}) is None
+        worker = make_profiler()
+        with worker.profile("check"):
+            pass
+        telemetry = Telemetry()
+        telemetry.merge({"profile": worker.to_dict()})  # nothing to fold into
+        assert telemetry.profiler is None
+        assert telemetry.registry.names() == []
 
     def test_merge_snapshot_folds_into_active(self):
         worker = make_profiler()
         with worker.profile("check"):
             pass
         coordinator = make_profiler()
-        set_profiler(coordinator)
-        assert merge_profile_snapshot(worker.to_dict()) is coordinator
+        Telemetry(profiler=coordinator).merge({"profile": worker.to_dict()})
         assert coordinator.stages["check"].calls == 1
 
 
@@ -214,11 +206,10 @@ class TestTrainProfileParity:
 
     def profiled_train(self, images, workers):
         profiler = StageProfiler(trace_allocations=False).start()
-        set_profiler(profiler)
         try:
-            model = EnCore().train(images, workers=workers)
+            with scope(profiler=profiler):
+                model = EnCore().train(images, workers=workers)
         finally:
-            set_profiler(None)
             profiler.stop()
         return model, profiler
 
@@ -242,17 +233,12 @@ class TestChromeTrace:
     def make_doc(self):
         profiler = make_profiler()
         tracer = Tracer(clock=profiler.clock)
-        set_profiler(profiler)
-        set_tracer(tracer)
-        try:
+        with scope(profiler=profiler, tracer=tracer):
             with span("train"):
                 with span("train.assemble", images=4):
                     pass
                 with span("train.infer"):
                     pass
-        finally:
-            set_profiler(None)
-            set_tracer(None)
         with profiler.shard("assemble", 0, items=2):
             pass
         with profiler.shard("assemble", 1, items=2):
@@ -403,4 +389,4 @@ class TestProfileCli:
             "--model", str(tmp_path / "model.json"), "--no-ledger",
         ])
         assert rc == 0
-        assert get_profiler() is None
+        assert current().profiler is None

@@ -26,7 +26,11 @@ from repro.core.resilience import (
 )
 from repro.corpus.generator import Ec2CorpusGenerator
 from repro.engine.sharding import RECOVERABLE
-from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.obs.flight import FlightRecorder
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import StageProfiler
+from repro.obs.telemetry import current, scope
+from repro.obs.tracing import Tracer
 from repro.parsers.base import ConfigParseError
 from repro.testing.faults import FaultPlan, poison_corpus, poison_snapshot_dir
 
@@ -49,12 +53,8 @@ def poisoned_setup(corpus):
 
 @pytest.fixture()
 def fresh_registry():
-    parent = get_registry()
-    set_registry(MetricsRegistry())
-    try:
-        yield get_registry()
-    finally:
-        set_registry(parent)
+    with scope(registry=MetricsRegistry()) as telemetry:
+        yield telemetry.registry
 
 
 def _noop_sleep(_seconds):
@@ -142,10 +142,10 @@ class TestQuarantineRecords:
         assert record.stage == "worker"
 
     def test_record_joins_active_trace(self):
-        from repro.obs.tracing import TraceContext, Tracer, use_tracer
+        from repro.obs.tracing import TraceContext
 
         tracer = Tracer(context=TraceContext.root("q-trace"))
-        with use_tracer(tracer), tracer.span("assemble.image"):
+        with scope(tracer=tracer), tracer.span("assemble.image"):
             record = record_from_exception("ami-9", ConfigParseError("x"))
         assert record.trace_id == "q-trace"
         assert record.to_dict()["trace_id"] == "q-trace"
@@ -352,7 +352,14 @@ class TestWorkerCrashRecovery:
     @pytest.mark.parametrize("stage", STAGES)
     def test_no_subprocess_runs_shards_in_process(self, stage, corpus,
                                                   monkeypatch):
-        """Restricted sandboxes: every shard runs through run_shard in-process."""
+        """Restricted sandboxes: every shard runs through run_shard in-process.
+
+        A shard's telemetry scope never displaces the caller's: the
+        caller's profiler and tracer are still current afterwards, and
+        each shard's sample and span forest folds into them exactly once.
+        Like a pool worker, the shard records nothing into the caller's
+        flight recorder.
+        """
         from repro.engine import pool, sharding
 
         class NoPool:
@@ -363,7 +370,22 @@ class TestWorkerCrashRecovery:
         reference = _serial_reference(stage, encore, corpus[:8])
         monkeypatch.setattr(sharding, "get_warm_pool", lambda workers: NoPool())
         monkeypatch.setattr(pool, "_worker_state", {})
-        assert _sharded(stage, encore, corpus[:8], chunk_size=4) == reference
+        profiler = StageProfiler(trace_allocations=False)
+        tracer = Tracer()
+        flight = FlightRecorder()
+        with scope(profiler=profiler, tracer=tracer, flight=flight):
+            assert _sharded(stage, encore, corpus[:8], chunk_size=4) == reference
+            assert current().profiler is profiler
+            assert current().tracer is tracer
+        kind = "assemble" if stage == "train" else "check"
+        recorded = {entry["name"] for entry in flight.to_dict()["spans"]}
+        assert recorded and f"{kind}.shard" not in recorded
+        assert [(s["stage"], s["shard"], s["items"]) for s in profiler.shards] == [
+            (kind, 0, 4), (kind, 1, 4),
+        ]
+        assert [(snapshot["shard"], snapshot["spans"][0]["name"])
+                for snapshot in tracer.remote] == [(0, f"{kind}.shard"),
+                                                   (1, f"{kind}.shard")]
 
     def test_crash_always_under_strict_propagates(self, corpus, tmp_path):
         encore = EnCore(EnCoreConfig(error_policy="strict"))

@@ -18,13 +18,8 @@ import tracemalloc
 
 import pytest
 
-from repro.obs.metrics import (
-    Histogram,
-    MetricKindError,
-    MetricsRegistry,
-    merge_snapshot,
-    use_registry,
-)
+from repro.obs.metrics import Histogram, MetricKindError, MetricsRegistry
+from repro.obs.telemetry import scope
 from repro.obs.timeline import (
     Ring,
     Timeline,
@@ -282,7 +277,7 @@ class TestSampler:
         sampler = TimelineSampler(interval_s=1.0)
         private = MetricsRegistry()
         private.counter("mine").inc(9)
-        with use_registry(private):
+        with scope(registry=private):
             sampler.sample(now=1.0)
         assert sampler.timeline.latest_value("mine") == 9.0
 
@@ -406,9 +401,9 @@ class TestMetricKindErrorSatellite:
         ours.counter("shared.metric").inc()
         theirs = MetricsRegistry()
         theirs.gauge("shared.metric").set(5)
-        with use_registry(ours):
+        with scope(registry=ours) as telemetry:
             with pytest.raises(MetricKindError) as excinfo:
-                merge_snapshot(theirs.to_dict())
+                telemetry.merge({"metrics": theirs.to_dict()})
         assert excinfo.value.metric == "shared.metric"
 
     def test_registry_merge_collision_histogram_vs_counter(self):

@@ -13,15 +13,8 @@ from pathlib import Path
 
 from repro.core.pipeline import EnCore
 from repro.obs.profile import chrome_trace
-from repro.obs.tracing import (
-    TraceContext,
-    TraceExemplars,
-    Tracer,
-    current_context,
-    merge_remote_spans,
-    set_tracer,
-    use_tracer,
-)
+from repro.obs.telemetry import current, scope
+from repro.obs.tracing import TraceContext, TraceExemplars, Tracer, current_context
 
 GOLDEN = Path(__file__).parent / "data" / "chrome_trace.golden"
 
@@ -97,7 +90,7 @@ class TestTraceIdentity:
 
     def test_current_context_names_innermost_span(self):
         tracer = Tracer(context=TraceContext.root("ctx-trace"))
-        with use_tracer(tracer):
+        with scope(tracer=tracer):
             with tracer.span("outer") as outer:
                 context = current_context()
                 assert context is not None
@@ -115,9 +108,9 @@ class TestRemoteMerge:
     def test_worker_forest_reparents_under_shipping_span(self):
         coordinator = Tracer(clock=FakeClock(),
                              context=TraceContext.root("merge-trace"))
-        with use_tracer(coordinator):
+        with scope(tracer=coordinator):
             with coordinator.span("check.batch") as batch:
-                shipped = current_context().to_dict()
+                shipped = current().spec()["trace"]
                 # ... the worker, on the far side of the ENCB frame:
                 worker = Tracer(
                     clock=FakeClock(start=100.0),
@@ -126,7 +119,7 @@ class TestRemoteMerge:
                 )
                 with worker.span("check.shard", shard=0):
                     pass
-                merge_remote_spans(worker.snapshot(shard=0))
+                current().merge({"spans": worker.snapshot(shard=0)})
         assert len(coordinator.remote) == 1
         snapshot = coordinator.remote[0]
         assert snapshot["trace_id"] == "merge-trace"
@@ -137,9 +130,9 @@ class TestRemoteMerge:
 
     def test_empty_worker_snapshot_is_dropped(self):
         coordinator = Tracer(context=TraceContext.root("quiet"))
-        with use_tracer(coordinator):
-            merge_remote_spans({"trace_id": "quiet", "spans": []})
-            merge_remote_spans({})
+        with scope(tracer=coordinator) as telemetry:
+            telemetry.merge({"spans": {"trace_id": "quiet", "spans": []}})
+            telemetry.merge({})
         assert coordinator.remote == []
 
 
@@ -147,13 +140,10 @@ class TestLivePropagation:
     def test_check_stream_workers2_parent_links(self, trained_encore,
                                                 small_corpus):
         tracer = Tracer()
-        set_tracer(tracer)
-        try:
+        with scope(tracer=tracer):
             reports = list(trained_encore.check_stream(
                 list(small_corpus[:6]), workers=2, chunk_size=3,
             ))
-        finally:
-            set_tracer(None)
         assert len(reports) == 6
         local_ids = set(_flatten_ids(tracer.roots))
         assert tracer.remote, "worker span snapshots should fold back"
@@ -175,12 +165,8 @@ class TestLivePropagation:
 
         def digest(tracing: bool, workers: int) -> str:
             encore = EnCore()
-            if tracing:
-                set_tracer(Tracer())
-            try:
+            with scope(tracer=Tracer() if tracing else None):
                 model = encore.train(images, workers=workers, chunk_size=5)
-            finally:
-                set_tracer(None)
             return model.ruleset_digest()
 
         baseline = digest(tracing=False, workers=1)

@@ -14,6 +14,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.types import ConfigType, TypedValue
@@ -42,10 +43,11 @@ class AssembledSystem:
         #: plain-baseline mode): environment-validating templates and
         #: checks must then treat the system as opaque.
         self.environment_available = environment_available
+        #: attribute → its first occurrence.
         self._values: Dict[str, TypedValue] = {}
-        #: Extra occurrence values for multi-valued attributes (template
-        #: ``[A] = [B]`` needs "at least one instance" semantics).
-        self._multi: Dict[str, List[TypedValue]] = {}
+        #: All occurrences of repeated attributes (template ``[A] = [B]``
+        #: needs "at least one instance" semantics).
+        self._multi: Dict[str, Tuple[TypedValue, ...]] = {}
         #: Attributes produced by environment augmentation (dot-suffix
         #: columns) rather than parsed from a config file.  PHP entry names
         #: legitimately contain dots, so this is tracked explicitly.
@@ -68,7 +70,8 @@ class AssembledSystem:
         """Record one attribute value; repeats accumulate as occurrences."""
         typed = TypedValue(value, config_type)
         if attribute in self._values:
-            self._multi.setdefault(attribute, [self._values[attribute]]).append(typed)
+            previous = self._multi.get(attribute) or (self._values[attribute],)
+            self._multi[attribute] = previous + (typed,)
         else:
             self._values[attribute] = typed
         if augmented:
@@ -85,12 +88,13 @@ class AssembledSystem:
         typed = self._values.get(attribute)
         return typed.value if typed is not None else None
 
-    def values_of(self, attribute: str) -> List[TypedValue]:
-        """All occurrences of a (possibly repeated) attribute."""
-        if attribute in self._multi:
-            return list(self._multi[attribute])
+    def values_of(self, attribute: str) -> Tuple[TypedValue, ...]:
+        """All occurrences of a (possibly repeated) attribute; ``()`` if absent."""
+        occurrences = self._multi.get(attribute)
+        if occurrences is not None:
+            return occurrences
         typed = self._values.get(attribute)
-        return [typed] if typed is not None else []
+        return (typed,) if typed is not None else ()
 
     def attributes(self) -> List[str]:
         return sorted(self._values)
@@ -132,8 +136,12 @@ class AttributeStats:
     def distinct_values(self) -> List[str]:
         return [v for v, _ in self.value_counts]
 
+    @cached_property
+    def _distinct(self) -> frozenset:
+        return frozenset(v for v, _ in self.value_counts)
+
     def seen(self, value: str) -> bool:
-        return any(v == value for v, _ in self.value_counts)
+        return value in self._distinct
 
     def inverse_change_frequency(self) -> float:
         """1 / cardinality — the ranking heuristic of §6 (check 4)."""
@@ -182,8 +190,12 @@ class PartialDataset:
         for attribute in system.attributes():
             typed = system.get(attribute)
             assert typed is not None
-            self.value_counts.setdefault(attribute, Counter())[typed.value] += 1
-            self.type_counts.setdefault(attribute, Counter())[typed.type] += 1
+            values = self.value_counts.get(attribute)
+            if values is None:
+                values = self.value_counts[attribute] = Counter()
+                self.type_counts[attribute] = Counter()
+            values[typed.value] += 1
+            self.type_counts[attribute][typed.type] += 1
             if len(system.values_of(attribute)) > 1:
                 self.multi_valued.add(attribute)
             if system.is_augmented(attribute):

@@ -6,25 +6,36 @@ For each template the inferencer:
    the template's slot types ("the type information provides an intuitive
    and effective way of attribute selection, which is critical to solve
    the scalability problem");
-2. iterates over every (A, B) instantiation and gathers per-system
-   verdicts from the template's validation method;
+2. iterates over every (A, B) instantiation and gathers verdicts from
+   the template's validation method;
 3. computes support / confidence / entropy and runs the filter pipeline.
 
 Type-restricted instantiation is the paper's answer to the attribute
 explosion of §2.2; :meth:`RuleInferencer.candidate_pair_count` exposes the
 combinatorics for the ablation benchmark.
+
+Each :meth:`RuleInferencer.infer` call builds a :class:`TrainingIndex` —
+one interned occurrence-tuple id per system and attribute — and drops it
+when it returns.  Templates that declare ``needs_environment=False`` (the
+seven value-only built-ins) count the distinct ``(A, B)`` value pairs
+across systems and validate each once.  Every other template, and every
+template under ``restrict_types=False``, still validates once per system;
+custom templates (``$$Template`` lines or a programmatic
+:class:`RuleTemplate`) keep the default ``needs_environment=True`` and so
+take this per-system path.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.dataset import Dataset
+from repro.core.dataset import AssembledSystem, Dataset
 from repro.core.filters import FilterDecision, RuleFilterPipeline
 from repro.core.rules import ConcreteRule, RuleSet
 from repro.core.templates import RuleTemplate, default_templates
-from repro.core.types import ConfigType
+from repro.core.types import ConfigType, TypedValue
 from repro.mining.entropy import DEFAULT_ENTROPY_THRESHOLD
 from repro.obs.metrics import get_registry
 from repro.obs.model import Provenance
@@ -47,6 +58,43 @@ class InferenceResult:
     #: that survived support+confidence — dropped ones keep counts only,
     #: so the audit stays compact at mining scale.
     audit: Dict[Tuple[str, str, str], Provenance] = field(default_factory=dict)
+
+
+class TrainingIndex:
+    """Columnar view of a dataset's rows for one inference run.
+
+    :meth:`column` gives one integer per system, in dataset order: the
+    interned id of that system's occurrence tuple for the attribute, or
+    ``-1`` when the attribute is absent.  ``values[id]`` maps an id back
+    to its :class:`TypedValue` tuple.  Equal tuples share one id across
+    systems and attributes, so the distinct ``(A, B)`` value pairs of an
+    instantiation are the distinct id pairs of two columns.  A column is
+    built on first use: attributes no candidate pair binds (about half
+    of them on the benchmark corpora) are never indexed.
+    """
+
+    def __init__(self, dataset: Dataset) -> None:
+        self.systems: List[AssembledSystem] = list(dataset)
+        self.values: List[Tuple[TypedValue, ...]] = []
+        self._ids: Dict[Tuple[TypedValue, ...], int] = {}
+        self._columns: Dict[str, List[int]] = {}
+
+    def column(self, attribute: str) -> List[int]:
+        column = self._columns.get(attribute)
+        if column is None:
+            column = self._columns[attribute] = [
+                self._intern(system.values_of(attribute)) for system in self.systems
+            ]
+        return column
+
+    def _intern(self, occurrences: Tuple[TypedValue, ...]) -> int:
+        if not occurrences:
+            return -1
+        value_id = self._ids.get(occurrences)
+        if value_id is None:
+            value_id = self._ids[occurrences] = len(self.values)
+            self.values.append(occurrences)
+        return value_id
 
 
 class RuleInferencer:
@@ -91,37 +139,43 @@ class RuleInferencer:
     def _pairs(
         self, dataset: Dataset, template: RuleTemplate
     ) -> Iterable[Tuple[str, str]]:
+        # Conditions on one slot filter that slot's list once; only the
+        # pairwise ones run per pair.  Order is left-major, right sorted.
+        augmented, multi = dataset.is_augmented, dataset.is_multi_valued
         left = self.eligible_attributes(dataset, template.type_a)
         right = self.eligible_attributes(dataset, template.type_b)
+        if not template.allow_augmented:
+            left = [a for a in left if not augmented(a)]
+            right = [b for b in right if not augmented(b)]
+        if template.slot_b_augmented_only:
+            left = [a for a in left if not augmented(a)]
+            right = [b for b in right if augmented(b)]
+        if template.multiplicity == "single":
+            left = [a for a in left if not multi(a)]
+            right = [b for b in right if not multi(b)]
         same_type_required = (
             template.type_a is ConfigType.STRING
             and template.type_b is ConfigType.STRING
+            and self.restrict_types
         )
-        for a in left:
+        by_type: Dict[Optional[ConfigType], List[str]] = {}
+        if same_type_required:
             for b in right:
+                by_type.setdefault(dataset.type_of(b), []).append(b)
+        for a in left:
+            partners = right
+            if same_type_required:
+                type_a = dataset.type_of(a)
+                if type_a is None or type_a.is_trivial:
+                    continue
+                partners = by_type.get(type_a, [])
+            multi_a = multi(a)
+            for b in partners:
                 if a == b:
                     continue
                 if template.symmetric and a > b:
                     continue
-                if same_type_required and self.restrict_types:
-                    type_a, type_b = dataset.type_of(a), dataset.type_of(b)
-                    if type_a is not type_b or type_a is None or type_a.is_trivial:
-                        continue
-                if not template.allow_augmented and (
-                    dataset.is_augmented(a) or dataset.is_augmented(b)
-                ):
-                    continue
-                if template.slot_b_augmented_only and not (
-                    dataset.is_augmented(b) and not dataset.is_augmented(a)
-                ):
-                    continue
-                if template.multiplicity == "multi" and not (
-                    dataset.is_multi_valued(a) or dataset.is_multi_valued(b)
-                ):
-                    continue
-                if template.multiplicity == "single" and (
-                    dataset.is_multi_valued(a) or dataset.is_multi_valued(b)
-                ):
+                if template.multiplicity == "multi" and not (multi_a or multi(b)):
                     continue
                 yield a, b
 
@@ -150,6 +204,7 @@ class RuleInferencer:
         pair_count = 0
         registry = get_registry()
         with span("infer", templates=len(self.templates)) as infer_span:
+            index = TrainingIndex(dataset)
             for template in self.templates:
                 # Telemetry is aggregated per template, never per pair:
                 # the inner loop is the hottest path in learning.
@@ -159,7 +214,7 @@ class RuleInferencer:
                     for attr_a, attr_b in self._pairs(dataset, template):
                         t_pairs += 1
                         evaluated = self._evaluate_pair(
-                            dataset, template, attr_a, attr_b
+                            index, dataset, template, attr_a, attr_b
                         )
                         if evaluated is None:
                             continue
@@ -170,12 +225,12 @@ class RuleInferencer:
                         )
                         provenance = pipeline.provenance(
                             rule, template, decision,
-                            contributors if survived else (),
+                            contributors() if survived else (),
                         )
-                        rule = replace(rule, provenance=provenance)
                         decisions[rule.key] = decision
                         audit[rule.key] = provenance
                         if survived:
+                            rule = replace(rule, provenance=provenance)
                             pre_entropy.add(rule)
                         if decision is FilterDecision.KEPT:
                             kept.add(rule)
@@ -203,31 +258,59 @@ class RuleInferencer:
 
     def _evaluate_pair(
         self,
+        index: TrainingIndex,
         dataset: Dataset,
         template: RuleTemplate,
         attr_a: str,
         attr_b: str,
-    ) -> Optional[Tuple[ConcreteRule, Tuple[str, ...]]]:
+    ) -> Optional[Tuple[ConcreteRule, Callable[[], Tuple[str, ...]]]]:
         """Gather verdicts for one instantiation across all systems.
 
-        Returns the candidate rule plus the ids of the contributing
-        images (the systems where the rule was applicable — the
-        provenance population), in dataset order.
+        Returns the candidate rule plus a function that materialises the
+        ids of the contributing images (the systems where the rule was
+        applicable — the provenance population), in dataset order; only
+        candidates that survive support and confidence call it.
         """
-        valid = 0
-        contributors: List[str] = []
-        for system in dataset:
-            values_a = system.values_of(attr_a)
-            values_b = system.values_of(attr_b)
-            if not values_a or not values_b:
-                continue
-            verdict = self._system_verdict(template, values_a, values_b, system)
-            if verdict is None:
-                continue
-            contributors.append(system.image_id)
-            if verdict:
-                valid += 1
-        if not contributors:
+        column_a = index.column(attr_a)
+        column_b = index.column(attr_b)
+        values = index.values
+        support = valid = 0
+        if template.needs_environment or not self.restrict_types:
+            contributors: List[str] = []
+            for system, id_a, id_b in zip(index.systems, column_a, column_b):
+                if id_a < 0 or id_b < 0:
+                    continue
+                verdict = template.verdict(values[id_a], values[id_b], system)
+                if verdict is None:
+                    continue
+                contributors.append(system.image_id)
+                if verdict:
+                    valid += 1
+            support = len(contributors)
+
+            def materialise() -> Tuple[str, ...]:
+                return tuple(contributors)
+        else:
+            applicable = set()
+            for pair, count in Counter(zip(column_a, column_b)).items():
+                id_a, id_b = pair
+                if id_a < 0 or id_b < 0:
+                    continue
+                verdict = template.verdict(values[id_a], values[id_b], None)
+                if verdict is None:
+                    continue
+                applicable.add(pair)
+                support += count
+                if verdict:
+                    valid += count
+
+            def materialise() -> Tuple[str, ...]:
+                return tuple(
+                    system.image_id
+                    for system, pair in zip(index.systems, zip(column_a, column_b))
+                    if pair in applicable
+                )
+        if not support:
             return None
         stats_a = dataset.stats(attr_a)
         stats_b = dataset.stats(attr_b)
@@ -236,26 +319,10 @@ class RuleInferencer:
             attribute_a=attr_a,
             attribute_b=attr_b,
             relation=template.relation.value,
-            support=len(contributors),
+            support=support,
             valid_count=valid,
             entropy_a=stats_a.entropy if stats_a else 0.0,
             entropy_b=stats_b.entropy if stats_b else 0.0,
             description=template.description,
         )
-        return rule, tuple(contributors)
-
-    @staticmethod
-    def _system_verdict(template, values_a, values_b, system) -> Optional[bool]:
-        """Any-occurrence semantics: the rule holds in a system when some
-        occurrence pair validates; it is violated when at least one pair
-        was applicable and none validated."""
-        applicable = False
-        for a in values_a:
-            for b in values_b:
-                verdict = template.validate(a, b, system)
-                if verdict is None:
-                    continue
-                applicable = True
-                if verdict:
-                    return True
-        return False if applicable else None
+        return rule, materialise

@@ -82,16 +82,7 @@ class ConcreteRule:
         values_b = system.values_of(self.attribute_b)
         if not values_a or not values_b:
             return None
-        applicable = False
-        for a in values_a:
-            for b in values_b:
-                verdict = template.validate(a, b, system)
-                if verdict is None:
-                    continue
-                applicable = True
-                if verdict:
-                    return True
-        return False if applicable else None
+        return template.verdict(values_a, values_b, system)
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {

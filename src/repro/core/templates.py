@@ -78,6 +78,12 @@ class RuleTemplate:
     #: boolean" template correlates a boolean *entry* with a boolean
     #: *extended attribute* (Table 6 row 3), never two plain entries.
     slot_b_augmented_only: bool = False
+    #: False declares a value-only validator: its verdict depends on the
+    #: two values alone and never reads the system.  The inferencer then
+    #: validates each distinct value pair once (with ``system=None``)
+    #: instead of once per training system.  Custom templates keep the
+    #: default, the per-system path.
+    needs_environment: bool = True
 
     def spec(self) -> str:
         """Human-readable template spec, e.g. ``[A:FilePath] => [B:UserName]``."""
@@ -90,6 +96,31 @@ class RuleTemplate:
     ) -> Optional[bool]:
         """Run the validation method on one pair of values in one system."""
         return self.validator(a, b, system)
+
+    def verdict(
+        self,
+        values_a: Sequence[TypedValue],
+        values_b: Sequence[TypedValue],
+        system: Optional[AssembledSystem],
+    ) -> Optional[bool]:
+        """Any-occurrence verdict over two attributes' occurrences.
+
+        The rule holds when some occurrence pair validates (the
+        ``[A] = [B]`` template semantics); it is violated when at least
+        one pair was applicable and none validated; ``None`` when no pair
+        was applicable.  Training and detection both decide through here.
+        """
+        validator = self.validator
+        applicable = False
+        for a in values_a:
+            for b in values_b:
+                verdict = validator(a, b, system)
+                if verdict is None:
+                    continue
+                if verdict:
+                    return True
+                applicable = True
+        return False if applicable else None
 
 
 # --------------------------------------------------------------------------
@@ -206,6 +237,7 @@ def default_templates() -> Sequence[RuleTemplate]:
             RelationKind.EQUAL, _v_equal,
             "An entry should be equal to another entry of the same type",
             symmetric=True, multiplicity="single", allow_augmented=False,
+            needs_environment=False,
         ),
         RuleTemplate(
             "one_instance_equal", ConfigType.STRING, ConfigType.STRING,
@@ -213,18 +245,21 @@ def default_templates() -> Sequence[RuleTemplate]:
             "One instance of an entry should equal at least one instance "
             "of another entry of the same type",
             symmetric=True, multiplicity="multi", allow_augmented=False,
+            needs_environment=False,
         ),
         RuleTemplate(
             "extended_boolean", ConfigType.BOOLEAN, ConfigType.BOOLEAN,
             RelationKind.IMPLIES, _v_implies,
             "A boolean entry implies a boolean-valued extended attribute",
             slot_b_augmented_only=True,
+            needs_environment=False,
         ),
         RuleTemplate(
             "ip_subnet", ConfigType.IP_ADDRESS, ConfigType.IP_ADDRESS,
             RelationKind.SUBNET, _v_subnet,
             "An IPAddress entry is within the subnet of another entry",
             allow_augmented=False,
+            needs_environment=False,
         ),
         RuleTemplate(
             "concat_path", ConfigType.FILE_PATH, ConfigType.PARTIAL_FILE_PATH,
@@ -238,6 +273,7 @@ def default_templates() -> Sequence[RuleTemplate]:
             RelationKind.SUBSTRING, _v_substring,
             "An entry is a substring (path prefix) of another entry",
             entropy_filtered=False, allow_augmented=False,
+            needs_environment=False,
         ),
         RuleTemplate(
             "user_in_group", ConfigType.USER_NAME, ConfigType.GROUP_NAME,
@@ -262,12 +298,14 @@ def default_templates() -> Sequence[RuleTemplate]:
             RelationKind.LESS_NUMBER, _v_less_number,
             "The number in one entry is less than that of the other",
             allow_augmented=False,
+            needs_environment=False,
         ),
         RuleTemplate(
             "less_size", ConfigType.SIZE, ConfigType.SIZE,
             RelationKind.LESS_SIZE, _v_less_size,
             "The size in one entry is smaller than that of the other",
             allow_augmented=False,
+            needs_environment=False,
         ),
     )
 

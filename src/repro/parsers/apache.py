@@ -22,6 +22,10 @@ from repro.parsers.base import ConfigEntry, ConfigParseError, ConfigParser, dedu
 
 _SECTION_OPEN = re.compile(r"^<(\w+)(\s+[^>]*)?>$")
 _SECTION_CLOSE = re.compile(r"^</(\w+)>$")
+#: Characters on which ``shlex.split`` and ``str.split`` may disagree in an
+#: ASCII line: quotes, the escape, and the whitespace only ``str.split``
+#: splits on.
+_SHLEX_SPECIAL = re.compile(r"[\"'\\\x0b\x0c\x1c-\x1f]")
 
 #: Directives whose individual arguments become separate columns.
 MULTIARG_DIRECTIVES = frozenset({"LoadModule", "AddType", "Alias", "ScriptAlias", "ErrorDocument"})
@@ -60,10 +64,7 @@ class ApacheParser(ConfigParser):
         return dedupe_occurrences(entries)
 
     def _directive(self, stack: List[str], line: str, lineno: int) -> List[ConfigEntry]:
-        try:
-            tokens = shlex.split(line, comments=False, posix=True)
-        except ValueError:
-            tokens = line.split()
+        tokens = tokenize(line)
         if not tokens:
             return []
         directive, args = tokens[0], tokens[1:]
@@ -81,3 +82,18 @@ class ApacheParser(ConfigParser):
             self.app, full_name, self.unquote(value),
             line=lineno, section=section,
         )
+
+
+def tokenize(line: str) -> List[str]:
+    """A directive's tokens: POSIX ``shlex.split``, or ``str.split`` when
+    shlex rejects the line (an unbalanced quote).
+
+    Plain ASCII lines — no quote, escape or ``\\x0b``/``\\x0c``/
+    ``\\x1c``-``\\x1f`` — tokenise the same either way, so they skip shlex.
+    """
+    if line.isascii() and _SHLEX_SPECIAL.search(line) is None:
+        return line.split()
+    try:
+        return shlex.split(line, comments=False, posix=True)
+    except ValueError:
+        return line.split()

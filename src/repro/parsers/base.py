@@ -108,6 +108,14 @@ class ConfigParser:
         of the line (truncating a value the author clearly opened a
         string for would be worse than keeping a trailing comment).
         """
+        if '"' not in line and "'" not in line:
+            # No quotes to respect: cut at the earliest marker.
+            cut = -1
+            for marker in markers:
+                found = line.find(marker)
+                if found >= 0 and (cut < 0 or found < cut):
+                    cut = found
+            return (line[:cut] if cut >= 0 else line).rstrip()
         quote = ""
         i = 0
         n = len(line)

@@ -68,7 +68,7 @@ class TestAssembledSystem:
     def test_values_of_single(self, assembler, mysql_image):
         system = assembler.assemble(mysql_image)
         assert len(system.values_of("mysql:mysqld/user")) == 1
-        assert system.values_of("missing:attr") == []
+        assert system.values_of("missing:attr") == ()
 
     def test_occurrence_count_counts_repeats(self):
         image = SystemImage("occ")
@@ -79,6 +79,16 @@ class TestAssembledSystem:
         assert system.occurrence_count() == 3
         assert len(system) == 2
 
+    def test_values_of_returns_stored_tuple(self):
+        system = AssembledSystem(SystemImage("occ"))
+        system.set("a:x", "1", ConfigType.NUMBER)
+        system.set("a:x", "2", ConfigType.NUMBER)
+        occurrences = system.values_of("a:x")
+        assert isinstance(occurrences, tuple)
+        assert [tv.value for tv in occurrences] == ["1", "2"]
+        assert system.values_of("a:x") is occurrences  # no per-call copy
+        assert system.get("a:x").value == "1"
+
 
 class TestDataset:
     def test_stats_basic(self, assembler, small_corpus):
@@ -88,6 +98,7 @@ class TestDataset:
         assert stats.type is ConfigType.USER_NAME
         assert stats.present_count == 10
         assert stats.seen("mysql")
+        assert not stats.seen("mysqld") and not stats.seen("")
         assert stats.cardinality == 1
         assert stats.entropy == 0.0
         assert stats.inverse_change_frequency() == 1.0

@@ -1,12 +1,14 @@
 """Tests for rule inference (paper §5.1) and rule filtering (§5.2)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.assembler import DataAssembler
 from repro.core.filters import FilterDecision, RuleFilterPipeline
-from repro.core.inference import RuleInferencer
+from repro.core.inference import RuleInferencer, TrainingIndex
 from repro.core.rules import ConcreteRule
-from repro.core.templates import template_by_name
+from repro.core.templates import default_templates, template_by_name
 from repro.sysmodel.image import ConfigFile, SystemImage
 
 
@@ -146,3 +148,64 @@ class TestRuleInferencer:
         only_ownership = [template_by_name("ownership")]
         result = RuleInferencer(templates=only_ownership).infer(controlled_dataset)
         assert all(r.template_name == "ownership" for r in result.rules)
+
+
+def _audit(result):
+    return [
+        (key, decision, result.audit[key].to_dict())
+        for key, decision in result.decisions.items()
+    ]
+
+
+class TestTrainingIndex:
+    def test_columns_intern_occurrence_tuples(self, controlled_dataset):
+        index = TrainingIndex(controlled_dataset)
+        systems = controlled_dataset.systems
+        for attribute in controlled_dataset.attributes():
+            column = index.column(attribute)
+            assert len(column) == len(systems)
+            assert index.column(attribute) is column  # built once
+            for system, value_id in zip(systems, column):
+                occurrences = system.values_of(attribute)
+                if not occurrences:
+                    assert value_id == -1
+                else:
+                    assert index.values[value_id] == occurrences
+        # Equal tuples share one id: ports alternate between two values.
+        assert len(set(index.column("mysql:mysqld/port"))) == 2
+        assert len(index.values) == len(set(index.values))
+
+    def test_absent_attribute_is_minus_one(self, controlled_dataset, mysql_image):
+        from repro.core.dataset import Dataset
+
+        image = mysql_image.copy(image_id="no-client")
+        dataset = Dataset(
+            list(controlled_dataset) + [DataAssembler().assemble(image)]
+        )
+        index = TrainingIndex(dataset)
+        assert index.column("mysql:client/port")[-1] == -1
+        assert index.column("mysql:mysqld/port")[-1] >= 0
+
+    def test_value_only_pairs_match_per_system_verdicts(self, small_corpus):
+        """Validating distinct value pairs once gives the per-system
+        result: same candidates, decisions, counts and contributors."""
+        dataset = DataAssembler().assemble_corpus(small_corpus[:30])
+        templates = default_templates()
+        assert {t.name for t in templates if not t.needs_environment} == {
+            "equal_same_type", "one_instance_equal", "extended_boolean",
+            "ip_subnet", "substring", "less_number", "less_size",
+        }
+        per_system = [replace(t, needs_environment=True) for t in templates]
+        grouped = RuleInferencer(templates=templates).infer(dataset)
+        reference = RuleInferencer(templates=per_system).infer(dataset)
+        assert _audit(grouped) == _audit(reference)
+        assert grouped.rules.to_json() == reference.rules.to_json()
+        assert any(p.contributing_images for p in grouped.audit.values())
+
+    def test_index_does_not_outlive_infer(self, controlled_dataset):
+        before = dict(vars(controlled_dataset))
+        result = RuleInferencer().infer(controlled_dataset)
+        assert vars(controlled_dataset).keys() == before.keys()
+        assert not any(
+            isinstance(value, TrainingIndex) for value in vars(result).values()
+        )

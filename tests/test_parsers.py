@@ -1,9 +1,14 @@
 """Tests for the configuration-file parsers."""
 
-import pytest
+import shlex
 
-from repro.parsers.apache import ApacheParser
-from repro.parsers.base import ConfigEntry, ConfigParseError, dedupe_occurrences
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.parsers.apache import ApacheParser, tokenize
+from repro.parsers.base import (
+    ConfigEntry, ConfigParseError, ConfigParser, dedupe_occurrences,
+)
 from repro.parsers.keyvalue import KeyValueParser
 from repro.parsers.mysql import MySQLParser
 from repro.parsers.php import PHPIniParser
@@ -280,3 +285,57 @@ class TestStripComment:
         )
         values = [e.value for e in by_name(entries, "mysqld/init_connect")]
         assert values == ["SET NAMES utf8; SET autocommit=0"]
+
+
+# -- fast paths equal the general algorithms ------------------------------------
+
+#: Characters that decide comment stripping and tokenising: markers, both
+#: quote kinds, the escape, and whitespace that ``str.split`` and
+#: ``shlex`` disagree on (``\x0b``, ``\x0c``, ``\x1c``, ``\xa0``).
+_TRICKY = st.sampled_from(
+    list("ab/. #;\"'\\\t") + ["\x0b", "\x0c", "\x1c", "\xa0", "\u00e9"]
+)
+_LINES = st.one_of(st.text(_TRICKY, max_size=30), st.text(max_size=30))
+_MARKERS = st.sampled_from([("#",), (";",), ("#", ";"), (";", "#")])
+
+
+def _strip_comment_walk(line, markers):
+    """The quote-aware character walk the fast path must agree with."""
+    quote = ""
+    for i, ch in enumerate(line):
+        if quote:
+            if ch == quote:
+                quote = ""
+        elif ch in "\"'":
+            quote = ch
+        elif any(line.startswith(marker, i) for marker in markers):
+            return line[:i].rstrip()
+    return line.rstrip()
+
+
+def _shlex_tokens(line):
+    try:
+        return shlex.split(line, comments=False, posix=True)
+    except ValueError:
+        return line.split()
+
+
+class TestFastPathEquivalence:
+    @settings(max_examples=400)
+    @given(_LINES, _MARKERS)
+    def test_strip_comment_equals_quote_aware_walk(self, line, markers):
+        assert ConfigParser.strip_comment(line, markers) == _strip_comment_walk(
+            line, markers
+        )
+
+    @settings(max_examples=400)
+    @given(_LINES)
+    def test_apache_tokenize_equals_shlex(self, line):
+        assert tokenize(line) == _shlex_tokens(line)
+
+    @pytest.mark.parametrize("line", [
+        "Listen\x0b80", "Listen\x0c80", "Listen\x1c80", "Listen\xa080",
+        "Alias /a\\ b /c", "Alias '/a b' /c", 'Alias "/a b', "Listen\t 80 ",
+    ])
+    def test_apache_tokenize_edge_cases(self, line):
+        assert tokenize(line) == _shlex_tokens(line)

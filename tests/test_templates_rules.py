@@ -159,6 +159,20 @@ class TestConcreteRule:
         system.image.fs.chown("/var/lib/mysql", owner="root")
         assert rule.evaluate(system, template) is False
 
+    def test_verdict_any_occurrence_semantics(self):
+        template = template_by_name("less_number")
+        low, mid, high, word = (
+            tv("1", ConfigType.NUMBER), tv("5", ConfigType.NUMBER),
+            tv("9", ConfigType.NUMBER), tv("x"),
+        )
+        # Some pair validates: holds, whatever the other pairs say.
+        assert template.verdict((high, low), (mid,), None) is True
+        # Applicable pairs, none validating: violated.
+        assert template.verdict((high,), (low, mid), None) is False
+        # No applicable pair (non-numeric): not applicable.
+        assert template.verdict((word,), (mid,), None) is None
+        assert template.verdict((word, high), (mid,), None) is False
+
     def test_evaluate_absent_entries_ignored(self, system):
         rule = self.make_rule(attribute_a="mysql:missing")
         template = template_by_name("ownership")

@@ -18,11 +18,10 @@ Each :meth:`RuleInferencer.infer` call builds a :class:`TrainingIndex` —
 one interned occurrence-tuple id per system and attribute — and drops it
 when it returns.  Templates that declare ``needs_environment=False`` (the
 seven value-only built-ins) count the distinct ``(A, B)`` value pairs
-across systems and validate each once.  Every other template, and every
-template under ``restrict_types=False``, still validates once per system;
-custom templates (``$$Template`` lines or a programmatic
-:class:`RuleTemplate`) keep the default ``needs_environment=True`` and so
-take this per-system path.
+across systems and validate each once, whatever ``restrict_types`` is.
+Every other template still validates once per system; custom templates
+(``$$Template`` lines or a programmatic :class:`RuleTemplate`) keep the
+default ``needs_environment=True`` and so take this per-system path.
 """
 
 from __future__ import annotations
@@ -275,7 +274,7 @@ class RuleInferencer:
         column_b = index.column(attr_b)
         values = index.values
         support = valid = 0
-        if template.needs_environment or not self.restrict_types:
+        if template.needs_environment:
             contributors: List[str] = []
             for system, id_a, id_b in zip(index.systems, column_a, column_b):
                 if id_a < 0 or id_b < 0:

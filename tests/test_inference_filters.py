@@ -1,5 +1,6 @@
 """Tests for rule inference (paper §5.1) and rule filtering (§5.2)."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from repro.core.filters import FilterDecision, RuleFilterPipeline
 from repro.core.inference import RuleInferencer, TrainingIndex
 from repro.core.rules import ConcreteRule
 from repro.core.templates import default_templates, template_by_name
+from repro.corpus.generator import Ec2CorpusGenerator
 from repro.sysmodel.image import ConfigFile, SystemImage
 
 
@@ -186,21 +188,49 @@ class TestTrainingIndex:
         assert index.column("mysql:client/port")[-1] == -1
         assert index.column("mysql:mysqld/port")[-1] >= 0
 
-    def test_value_only_pairs_match_per_system_verdicts(self, small_corpus):
+    @pytest.mark.parametrize("restrict_types", [True, False])
+    def test_value_only_pairs_match_per_system_verdicts(
+        self, small_corpus, restrict_types
+    ):
         """Validating distinct value pairs once gives the per-system
-        result: same candidates, decisions, counts and contributors."""
-        dataset = DataAssembler().assemble_corpus(small_corpus[:30])
+        result: same candidates, decisions, counts and contributors.
+        ``restrict_types=False`` only widens the candidate pairs; a
+        php-only corpus keeps its every-attribute-in-every-slot product
+        small."""
+        images = (
+            small_corpus[:30] if restrict_types
+            else Ec2CorpusGenerator(seed=101, apps=("php",)).generate(20)
+        )
+        dataset = DataAssembler().assemble_corpus(images)
         templates = default_templates()
         assert {t.name for t in templates if not t.needs_environment} == {
             "equal_same_type", "one_instance_equal", "extended_boolean",
             "ip_subnet", "substring", "less_number", "less_size",
         }
-        per_system = [replace(t, needs_environment=True) for t in templates]
-        grouped = RuleInferencer(templates=templates).infer(dataset)
-        reference = RuleInferencer(templates=per_system).infer(dataset)
+        calls = Counter()
+
+        def counted(template, path):
+            def validator(a, b, system):
+                calls[path] += 1
+                return template.validator(a, b, system)
+            return replace(template, validator=validator)
+
+        value_grouped = [counted(t, "grouped") for t in templates]
+        per_system = [
+            replace(counted(t, "per_system"), needs_environment=True)
+            for t in templates
+        ]
+        grouped = RuleInferencer(
+            templates=value_grouped, restrict_types=restrict_types
+        ).infer(dataset)
+        reference = RuleInferencer(
+            templates=per_system, restrict_types=restrict_types
+        ).infer(dataset)
         assert _audit(grouped) == _audit(reference)
         assert grouped.rules.to_json() == reference.rules.to_json()
         assert any(p.contributing_images for p in grouped.audit.values())
+        # The flag alone picks the grouped path, whatever restrict_types is.
+        assert calls["grouped"] < calls["per_system"]
 
     def test_index_does_not_outlive_infer(self, controlled_dataset):
         before = dict(vars(controlled_dataset))

@@ -152,6 +152,7 @@ def _record_ledger(
     from repro.obs.ledger import (
         LedgerEntry, default_ledger, fingerprint_payload, metric_totals,
     )
+    from repro.obs.profile import StageProfiler, profile_document
 
     model = encore.model
     drift: Dict[str, object] = {}
@@ -167,17 +168,18 @@ def _record_ledger(
         quarantine_meta["total"] = encore.quarantine.dropped
     telemetry = current()
     profile_meta: Dict[str, object] = {}
-    profiler = telemetry.profiler
-    if profiler is not None and (profiler.stages or profiler.shards):
-        profile_meta = {
-            "digest": profiler.digest(),
-            "stages": len(profiler.stages),
-            "shards": len(profiler.shards),
-            "max_rss_bytes": max(
-                [int(s.max_rss_bytes) for s in profiler.stages.values()]
-                + [int(s.get("max_rss_bytes", 0)) for s in profiler.shards]
-            ),
-        }
+    if isinstance(telemetry.tracer, StageProfiler):
+        doc = profile_document(telemetry.tracer)
+        stages, shards = doc["stages"], doc["shards"]
+        if stages:
+            profile_meta = {
+                "digest": fingerprint_payload({"stages": stages, "shards": shards}),
+                "stages": len(stages),
+                "shards": len(shards),
+                "max_rss_bytes": max(
+                    int(row["max_rss_bytes"]) for row in [*stages.values(), *shards]
+                ),
+            }
     incidents_meta: List[Dict[str, object]] = []
     monitor = telemetry.monitor
     if monitor is not None:
@@ -1282,16 +1284,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         except AlertConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    profiler = None
-    if getattr(args, "profile", None):
+    # The profile document is derived from the span tree, so profiling
+    # means tracing: the profiler is the tracer, whose spans also carry
+    # their resource use (saved into --trace too when both are given).
+    tracer = None
+    profiling = bool(getattr(args, "profile", None))
+    if profiling:
         from repro.obs.profile import StageProfiler
 
-        profiler = StageProfiler()
-    # The profile document embeds the span tree (Chrome export needs it),
-    # so profiling implies an in-memory tracer even without --trace; it
-    # is then only saved into the profile.
-    tracer = None
-    if getattr(args, "trace", None) or profiler is not None:
+        tracer = StageProfiler()
+    elif getattr(args, "trace", None):
         tracer = Tracer()
     flight = None
     if args.command in FLIGHT_COMMANDS:
@@ -1304,10 +1306,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.core.persistence import SnapshotCorruptError
     from repro.core.resilience import ErrorBudgetExceeded
 
-    with scope(tracer=tracer, profiler=profiler, flight=flight, monitor=monitor):
+    with scope(tracer=tracer, flight=flight, monitor=monitor):
         try:
-            if profiler is not None:
-                profiler.start()
+            if profiling:
+                tracer.start()
             if monitor is not None:
                 log.info("alerts.armed", path=str(args.alerts),
                          rules=len(monitor.engine.rules))
@@ -1331,19 +1333,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             if tracer is not None and getattr(args, "trace", None):
                 tracer.save(args.trace)
                 log.info("trace.saved", path=args.trace, spans=len(tracer.roots))
-            if profiler is not None:
+            if profiling:
                 from repro.obs.profile import profile_document, save_profile
 
-                profiler.stop()
+                tracer.stop()
                 doc = profile_document(
-                    profiler, tracer,
+                    tracer,
                     command=args.command,
                     workers=getattr(args, "workers", 1) or 1,
                     run_seconds=round(time.monotonic() - args._run_started, 6),
                 )
                 save_profile(doc, args.profile)
                 log.info("profile.saved", path=args.profile,
-                         stages=len(profiler.stages), shards=len(profiler.shards))
+                         stages=len(doc["stages"]), shards=len(doc["shards"]))
             metrics_dest = getattr(args, "metrics", None)
             if metrics_dest:
                 snapshot = get_registry().to_json()

@@ -52,15 +52,19 @@ Failure handling has three layers, the same for train and check (see
 
 Each shard runs in a telemetry scope (:mod:`repro.obs.telemetry`) built
 only from the task frame's ``telemetry`` spec — a fresh metrics
-registry, plus a tracer and a profiler when the coordinator has them —
-and ships that scope's snapshot back on its result.  The coordinator
-folds each snapshot into its own scope with one merge, so sharded runs
-report the same metric totals, profile and span tree as serial ones.
+registry, plus a tracer when the coordinator has one (a
+:class:`~repro.obs.profile.StageProfiler` when it profiles) — and ships
+that scope's snapshot back on its result.  The coordinator folds each
+snapshot into its own scope with one merge, so sharded runs report the
+same metric totals and span tree as serial ones; the profile document
+is derived from that tree, the ``<kind>.shard`` roots giving its shard
+rows.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as ShardTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -96,6 +100,7 @@ from repro.engine.pool import (
     worker_install_model,
 )
 from repro.obs import get_logger
+from repro.obs.profile import StageProfiler
 from repro.obs.telemetry import Telemetry, current, get_registry, scope
 from repro.obs.tracing import span
 from repro.sysmodel.image import SystemImage
@@ -223,7 +228,7 @@ def run_shard(task: bytes) -> bytes:
     kind = "check" if "model" in payload else "assemble"
     seed = f"shard{shard_index}"
     with scope(Telemetry.from_spec(payload.get("telemetry", {}), seed)) as telemetry:
-        tracer, profiler = telemetry.tracer, telemetry.profiler
+        tracer = telemetry.tracer
         try:
             encore = worker_encore(payload["config"], payload["config_digest"])
             if kind == "check":
@@ -247,11 +252,7 @@ def run_shard(task: bytes) -> bytes:
                 tracer.span(f"{kind}.shard", shard=shard_index, items=len(images))
                 if tracer is not None else nullcontext()
             )
-            shard_sample = (
-                profiler.shard(kind, shard_index, items=len(images))
-                if profiler is not None else nullcontext()
-            )
-            with shard_span, shard_sample:
+            with shard_span:
                 if kind == "check":
                     result.reports = [
                         report for report in map(encore._check_guarded, images)
@@ -263,13 +264,14 @@ def run_shard(task: bytes) -> bytes:
                     result.partial = encore.assembler.assemble_partial(
                         images, shard_index=shard_index
                     )
-            result.telemetry = telemetry.snapshot(shard=shard_index)
+            result.telemetry = telemetry.snapshot(shard=shard_index,
+                                                  pid=os.getpid())
             result.quarantine = encore.quarantine.to_dicts()
             result.dropped = encore.quarantine.dropped
             return result.to_bytes()
         finally:
-            if profiler is not None:
-                profiler.stop()
+            if isinstance(tracer, StageProfiler):
+                tracer.stop()
 
 
 class ShardRunner:
@@ -277,7 +279,7 @@ class ShardRunner:
 
     Owns the task builder, the submit loop over the shared warm pool,
     the telemetry fold and the recovery routine.  The class attribute
-    ``kind`` names the shard spans, profile samples and the
+    ``kind`` names the shard spans (the profile's shard rows) and the
     ``<kind>.shards.total`` counter; subclasses set ``model_bytes``
     (check only: the hoisted ``(bytes, digest)`` model encoding),
     ``drift`` and the result ``cache``.

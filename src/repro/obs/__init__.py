@@ -1,10 +1,10 @@
 """Observability for the EnCore pipeline, dependency-free.
 
-One telemetry scope, five instruments.  :mod:`repro.obs.telemetry`
-holds a :class:`Telemetry` — the metrics registry, span tracer, stage
-profiler, flight recorder and health monitor — behind one process
-default and one context-variable override (:func:`current` reads it,
-:func:`scope` pushes one for a ``with`` block).  Every pipeline stage
+One telemetry scope, four instruments.  :mod:`repro.obs.telemetry`
+holds a :class:`Telemetry` — the metrics registry, span tracer, flight
+recorder and health monitor — behind one process default and one
+context-variable override (:func:`current` reads it, :func:`scope`
+pushes one for a ``with`` block).  Every pipeline stage
 records into ``current()``; the instruments themselves are:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters /
@@ -12,9 +12,10 @@ records into ``current()``; the instruments themselves are:
 * :mod:`repro.obs.tracing` — hierarchical :func:`span` timing with an
   optional :class:`Tracer` retaining the tree for JSON export;
 * :mod:`repro.obs.profile` — per-stage resource profiling
-  (:class:`StageProfiler`: wall/CPU/RSS/allocation peaks, mergeable
-  across worker processes) with JSON, Chrome ``trace_event`` and text
-  exports;
+  (:class:`StageProfiler`: a tracer whose spans also carry CPU time,
+  RSS and allocation peaks; the profile document is folded from its
+  span tree, worker forests included) with JSON, Chrome
+  ``trace_event`` and text exports;
 * :mod:`repro.obs.flight` — :class:`FlightRecorder`, always-on bounded
   rings of recent spans / logs / errors / incidents, the black box
   ``repro doctor`` bundles and ``GET /flightz`` serves;
@@ -53,8 +54,9 @@ Telemetry is *distributed*: a shard task frame carries
 :meth:`Telemetry.spec` (the trace context, whether to profile), the
 worker records into a scope built only from it, and ships back
 :meth:`Telemetry.snapshot`, which the coordinator's
-:meth:`Telemetry.merge` folds — one registry total, one profile and one
-causally-linked span tree at any ``--workers N``.
+:meth:`Telemetry.merge` folds — one registry total and one
+causally-linked span tree at any ``--workers N``, from which the
+profile document is derived.
 
 Every pipeline stage records into the current registry, so any
 ``train()`` + ``check()`` run can be inspected after the fact::
@@ -92,7 +94,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.timeline import Timeline, TimelineSampler
 from repro.obs.profile import (
-    StageProfile,
     StageProfiler,
     chrome_trace,
     profile_document,
@@ -127,7 +128,6 @@ __all__ = [
     "MetricsRegistry",
     "Provenance",
     "Span",
-    "StageProfile",
     "StageProfiler",
     "StructuredLogger",
     "Telemetry",

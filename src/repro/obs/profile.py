@@ -2,28 +2,28 @@
 
 The metrics layer answers *what the pipeline did* (counters, coverage);
 this module answers *where the resources went*.  A :class:`StageProfiler`
-taps the same :func:`repro.obs.tracing.span` boundaries the tracer uses
-— put one in the telemetry scope (:func:`repro.obs.telemetry.scope`; the
-CLI's ``--profile`` does this) and every span records, keyed by stage
-name:
+is a :class:`~repro.obs.tracing.Tracer` that annotates every span it
+closes with the resources the span used — put one in the telemetry
+scope's tracer slot (``scope(tracer=StageProfiler().start())``; the
+CLI's ``--profile`` does this) and every span carries, besides its wall
+time:
 
-* wall seconds (the tracer's clock, injectable for tests);
-* CPU seconds (``os.times`` user+system of *this* process only, so
-  worker CPU is never double-counted when worker profiles fold back);
-* peak RSS (``resource.getrusage`` high-water mark, in bytes);
-* ``tracemalloc`` allocation peak over the stage (when tracing is on —
-  the profiler starts it by default and :meth:`StageProfiler.stop`
-  stops it).
+* ``cpu_s`` — ``os.times`` user+system seconds of *this* process only,
+  so worker CPU is never double-counted when worker forests fold back;
+* ``max_rss_bytes`` — the ``resource.getrusage`` high-water mark;
+* ``alloc_peak_bytes`` — the ``tracemalloc`` peak over the span, only
+  while tracing runs (:meth:`StageProfiler.start` starts it and
+  :meth:`StageProfiler.stop` stops it).
 
-Worker processes (sharded assembly, batch checking) build their own
-profiler when the shard payload asks for one, wrap the whole shard in a
-:meth:`StageProfiler.shard` sample, and ship :meth:`StageProfiler.to_dict`
-back in the shard result's telemetry; the coordinator folds those
-snapshots with :meth:`StageProfiler.merge_dict`.  Both the per-stage fold
-(:meth:`StageProfile.merge`: sums for wall/CPU/calls, maxima for memory
-peaks) and the shard-sample fold (list concatenation) are associative,
-so a profile is complete and order-independent at any ``--workers N`` —
-the same merge discipline as metrics and drift.
+These are ordinary span attributes, so worker processes (sharded
+assembly, batch checking) need nothing of their own: the shard's
+profiler ships its span forest back in the shard result's ``spans``
+snapshot like any tracer, and the coordinator adopts it with
+:meth:`~repro.obs.tracing.Tracer.merge_remote`.  :func:`profile_document`
+then derives the profile from the local and remote forests: per-stage
+totals folded by span name (sums for wall/CPU/calls, maxima for memory
+peaks — associative, so the fold is complete at any ``--workers N``)
+and one shard row per worker ``<kind>.shard`` root.
 
 Three export surfaces (see ``docs/observability.md``):
 
@@ -36,15 +36,14 @@ Three export surfaces (see ``docs/observability.md``):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
-import time
 import tracemalloc
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
+
+from repro.obs.tracing import Span, Tracer, span_to_wire
 
 try:
     import resource as _resource
@@ -63,7 +62,7 @@ def process_cpu_seconds() -> float:
     """User+system CPU seconds of this process (children excluded).
 
     Children are deliberately excluded: worker CPU arrives through the
-    workers' own profile snapshots, so including it here would double
+    workers' own span snapshots, so including it here would double
     count every sharded stage.
     """
     times = os.times()
@@ -79,236 +78,131 @@ def max_rss_bytes() -> int:
     return int(rss) if sys.platform == "darwin" else int(rss) * 1024
 
 
-class StageProfile:
-    """Folded resource totals for one stage name."""
+class StageProfiler(Tracer):
+    """A tracer whose closed spans carry ``cpu_s``, ``max_rss_bytes``
+    and (while ``tracemalloc`` runs) ``alloc_peak_bytes``.
 
-    __slots__ = ("wall_s", "cpu_s", "calls", "max_rss_bytes", "alloc_peak_bytes")
-
-    def __init__(self) -> None:
-        self.wall_s: float = 0.0
-        self.cpu_s: float = 0.0
-        self.calls: int = 0
-        self.max_rss_bytes: int = 0
-        self.alloc_peak_bytes: int = 0
-
-    def record(self, wall_s: float, cpu_s: float, rss: int, alloc: int) -> None:
-        self.wall_s += wall_s
-        self.cpu_s += cpu_s
-        self.calls += 1
-        self.max_rss_bytes = max(self.max_rss_bytes, rss)
-        self.alloc_peak_bytes = max(self.alloc_peak_bytes, alloc)
-
-    def merge(self, other: "StageProfile") -> "StageProfile":
-        """Associative fold: sums for time/calls, maxima for peaks."""
-        self.wall_s += other.wall_s
-        self.cpu_s += other.cpu_s
-        self.calls += other.calls
-        self.max_rss_bytes = max(self.max_rss_bytes, other.max_rss_bytes)
-        self.alloc_peak_bytes = max(self.alloc_peak_bytes, other.alloc_peak_bytes)
-        return self
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "wall_s": round(self.wall_s, 9),
-            "cpu_s": round(self.cpu_s, 9),
-            "calls": self.calls,
-            "max_rss_bytes": self.max_rss_bytes,
-            "alloc_peak_bytes": self.alloc_peak_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "StageProfile":
-        profile = cls()
-        profile.wall_s = float(data.get("wall_s", 0.0))
-        profile.cpu_s = float(data.get("cpu_s", 0.0))
-        profile.calls = int(data.get("calls", 0))
-        profile.max_rss_bytes = int(data.get("max_rss_bytes", 0))
-        profile.alloc_peak_bytes = int(data.get("alloc_peak_bytes", 0))
-        return profile
-
-
-class StageProfiler:
-    """Collects per-stage and per-shard resource samples.
-
-    *clock* and *cpu_clock* are injectable (any ``() -> float``) so tests
-    can assert exact durations; *trace_allocations* starts ``tracemalloc``
-    on :meth:`start` when it is not already running (and :meth:`stop`
-    stops it again only if this profiler started it).
+    :meth:`start` starts ``tracemalloc`` when it is not already running;
+    :meth:`stop` stops it again only if this profiler started it.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        cpu_clock: Callable[[], float] = process_cpu_seconds,
-        trace_allocations: bool = True,
-    ) -> None:
-        self.clock = clock
-        self.cpu_clock = cpu_clock
-        self.trace_allocations = trace_allocations
-        self.stages: Dict[str, StageProfile] = {}
-        self.shards: List[Dict[str, object]] = []
-        self.meta: Dict[str, object] = {"pid": os.getpid()}
-        #: Pairs one epoch reading with one profiler-clock reading, so
-        #: shard samples (stamped with epoch times in the worker) can be
-        #: placed on the coordinator's span timeline by the Chrome export.
-        self.anchor: Dict[str, float] = {"epoch": time.time(), "clock": clock()}
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: CPU seconds and traced bytes at entry, per open span.
+        self._entry: Dict[Span, Tuple[float, int]] = {}
         self._owns_tracemalloc = False
-        self._depth = 0
-
-    # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "StageProfiler":
-        if self.trace_allocations and not tracemalloc.is_tracing():
+        if not tracemalloc.is_tracing():
             tracemalloc.start()
             self._owns_tracemalloc = True
         return self
 
     def stop(self) -> None:
-        if self._owns_tracemalloc and tracemalloc.is_tracing():
+        if self._owns_tracemalloc:
             tracemalloc.stop()
         self._owns_tracemalloc = False
 
-    # -- sampling --------------------------------------------------------------
+    def open_span(self, name: str, attributes: Dict[str, object]) -> Span:
+        traced = -1
+        if tracemalloc.is_tracing():
+            if not self._stack():
+                # Only the outermost span resets, so a nested span never
+                # erases the high-water mark its parent is measuring.
+                tracemalloc.reset_peak()
+            traced = tracemalloc.get_traced_memory()[0]
+        opened = super().open_span(name, attributes)
+        self._entry[opened] = (process_cpu_seconds(), traced)
+        return opened
 
-    def _alloc_begin(self) -> int:
-        if not tracemalloc.is_tracing():
-            return -1
-        if self._depth == 0 and hasattr(tracemalloc, "reset_peak"):
-            # Only the outermost frame resets, so a nested stage never
-            # erases the high-water mark its parent is measuring.
-            tracemalloc.reset_peak()
-        traced, _peak = tracemalloc.get_traced_memory()
-        return traced
-
-    def _alloc_end(self, traced_at_entry: int) -> int:
-        if traced_at_entry < 0 or not tracemalloc.is_tracing():
-            return 0
-        _traced, peak = tracemalloc.get_traced_memory()
-        return max(0, peak - traced_at_entry)
-
-    @contextmanager
-    def profile(self, name: str) -> Iterator[None]:
-        """Record one stage execution under *name* (nestable)."""
-        wall0, cpu0 = self.clock(), self.cpu_clock()
-        traced0 = self._alloc_begin()
-        self._depth += 1
-        try:
-            yield
-        finally:
-            self._depth -= 1
-            self.record(
-                name,
-                wall_s=self.clock() - wall0,
-                cpu_s=self.cpu_clock() - cpu0,
-                rss=max_rss_bytes(),
-                alloc=self._alloc_end(traced0),
-            )
-
-    def record(self, name: str, wall_s: float, cpu_s: float = 0.0,
-               rss: int = 0, alloc: int = 0) -> None:
-        self.stages.setdefault(name, StageProfile()).record(wall_s, cpu_s, rss, alloc)
-
-    @contextmanager
-    def shard(self, stage: str, shard_index: int, items: int = 0) -> Iterator[None]:
-        """Record one whole-shard sample (the worker-side wrapper)."""
-        wall0, cpu0 = self.clock(), self.cpu_clock()
-        epoch0 = time.time()
-        traced0 = self._alloc_begin()
-        self._depth += 1
-        try:
-            yield
-        finally:
-            self._depth -= 1
-            self.shards.append({
-                "stage": stage,
-                "shard": int(shard_index),
-                "pid": os.getpid(),
-                "items": int(items),
-                "wall_s": round(self.clock() - wall0, 9),
-                "cpu_s": round(self.cpu_clock() - cpu0, 9),
-                "max_rss_bytes": max_rss_bytes(),
-                "alloc_peak_bytes": self._alloc_end(traced0),
-                "epoch_start": epoch0,
-                "epoch_end": time.time(),
-            })
-
-    # -- fold / serialisation --------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "meta": dict(self.meta),
-            "anchor": dict(self.anchor),
-            "stages": {
-                name: self.stages[name].to_dict() for name in sorted(self.stages)
-            },
-            "shards": [dict(sample) for sample in self.shards],
-        }
-
-    def merge_dict(self, data: Mapping) -> "StageProfiler":
-        """Fold a serialised profile snapshot into this profiler.
-
-        Stage totals merge associatively; shard samples concatenate.
-        The snapshot's meta/anchor are the *worker's* and are dropped —
-        the coordinator keeps its own timeline anchor.
-        """
-        for name, payload in data.get("stages", {}).items():
-            mine = self.stages.setdefault(name, StageProfile())
-            mine.merge(StageProfile.from_dict(payload))
-        self.shards.extend(dict(sample) for sample in data.get("shards", ()))
-        return self
-
-    def digest(self) -> str:
-        """SHA-256 over the canonical stage/shard content (ledger key)."""
-        payload = {
-            "stages": {n: self.stages[n].to_dict() for n in sorted(self.stages)},
-            "shards": self.shards,
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+    def close_span(self, closing: Span) -> None:
+        cpu0, traced0 = self._entry.pop(closing)
+        closing.annotate(cpu_s=round(process_cpu_seconds() - cpu0, 9),
+                         max_rss_bytes=max_rss_bytes())
+        if traced0 >= 0 and tracemalloc.is_tracing():
+            peak = tracemalloc.get_traced_memory()[1]
+            closing.annotate(alloc_peak_bytes=max(0, peak - traced0))
+        super().close_span(closing)
 
 
 # -- the profile document ------------------------------------------------------
 
 
-def _span_with_times(span) -> Dict[str, object]:
-    """Serialise a span keeping raw clock timestamps (Chrome needs them)."""
-    out: Dict[str, object] = {
-        "name": span.name,
-        "ts": span.start,
-        "dur": span.duration,
+def _by_shard(snapshot: Mapping) -> Tuple[int, str]:
+    """Deterministic order of remote snapshots: shard index, parent span."""
+    return int(snapshot.get("shard", 0)), str(snapshot.get("parent_id", ""))
+
+
+def _fold_stages(nodes: Iterable[Mapping], stages: Dict[str, dict]) -> None:
+    """Fold wire-form spans into *stages* by name (sums and maxima)."""
+    for node in nodes:
+        attrs = node.get("attributes", {})
+        row = stages.setdefault(node["name"], {
+            "wall_s": 0.0, "cpu_s": 0.0, "calls": 0,
+            "max_rss_bytes": 0, "alloc_peak_bytes": 0,
+        })
+        row["wall_s"] += float(node["dur"])
+        row["cpu_s"] += float(attrs.get("cpu_s", 0.0))
+        row["calls"] += 1
+        for peak in ("max_rss_bytes", "alloc_peak_bytes"):
+            row[peak] = max(row[peak], int(attrs.get(peak, 0)))
+        _fold_stages(node.get("children", ()), stages)
+
+
+def _shard_row(snapshot: Mapping, root: Mapping) -> Dict[str, object]:
+    """One worker ``<kind>.shard`` root as a shard sample row."""
+    attrs = root.get("attributes", {})
+    anchor = snapshot.get("anchor", {})
+    epoch_start = (float(anchor.get("epoch", 0.0))
+                   + float(root["ts"]) - float(anchor.get("clock", 0.0)))
+    return {
+        "stage": root["name"][:-len(".shard")],
+        "shard": int(attrs.get("shard", 0)),
+        "pid": int(snapshot.get("pid", 0)),
+        "items": int(attrs.get("items", 0)),
+        "wall_s": round(float(root["dur"]), 9),
+        "cpu_s": float(attrs.get("cpu_s", 0.0)),
+        "max_rss_bytes": int(attrs.get("max_rss_bytes", 0)),
+        "alloc_peak_bytes": int(attrs.get("alloc_peak_bytes", 0)),
+        "epoch_start": epoch_start,
+        "epoch_end": epoch_start + float(root["dur"]),
     }
-    if getattr(span, "span_id", ""):
-        out["span_id"] = span.span_id
-    if getattr(span, "parent_id", ""):
-        out["parent_id"] = span.parent_id
-    if span.attributes:
-        out["attributes"] = {k: v for k, v in sorted(span.attributes.items())}
-    if span.children:
-        out["children"] = [_span_with_times(child) for child in span.children]
-    return out
 
 
-def profile_document(profiler: StageProfiler, tracer=None, **meta: object) -> dict:
-    """The JSON profile document ``--profile`` writes.
+def profile_document(tracer: Tracer, **meta: object) -> dict:
+    """The JSON profile document ``--profile`` writes, derived from *tracer*.
 
-    Bundles the folded per-stage totals and shard samples with the span
-    tree (when a tracer ran alongside, timestamps preserved) so one file
-    feeds all three export surfaces.  A tracer that adopted worker span
-    snapshots (``Tracer.merge_remote``) contributes them under
-    ``remote_spans``, each with its own epoch↔clock anchor, so the
-    Chrome exporter can place pool-worker spans on the coordinator's
-    clock line and link them to their parent span.
+    ``stages`` folds every span of the local forest and of the adopted
+    worker forests (``Tracer.merge_remote``) by name; ``shards`` holds
+    one row per worker ``<kind>.shard`` root, its epoch start mapped
+    through the worker snapshot's anchor.  The span tree rides along
+    with raw clock timestamps, and the worker forests under
+    ``remote_spans`` with their own epoch↔clock anchors, so the Chrome
+    exporter can place pool-worker spans on the coordinator's clock
+    line and link them to their parent span.
     """
-    doc = profiler.to_dict()
-    doc["meta"].update(meta)
-    if tracer is not None:
-        doc["spans"] = [_span_with_times(root) for root in tracer.roots]
-        trace_id = getattr(tracer, "trace_id", "")
-        if trace_id:
-            doc["trace_id"] = trace_id
-        remote = getattr(tracer, "remote", None)
-        if remote:
-            doc["remote_spans"] = [dict(snapshot) for snapshot in remote]
+    spans = [span_to_wire(root) for root in tracer.roots]
+    remote = sorted(tracer.remote, key=_by_shard)
+    stages: Dict[str, dict] = {}
+    shards: List[Dict[str, object]] = []
+    _fold_stages(spans, stages)
+    for snapshot in remote:
+        _fold_stages(snapshot["spans"], stages)
+        shards.extend(_shard_row(snapshot, root) for root in snapshot["spans"]
+                      if root["name"].endswith(".shard"))
+    for row in stages.values():
+        row["wall_s"] = round(row["wall_s"], 9)
+        row["cpu_s"] = round(row["cpu_s"], 9)
+    doc = {
+        "meta": {"pid": os.getpid(), **meta},
+        "anchor": dict(tracer.anchor),
+        "stages": {name: stages[name] for name in sorted(stages)},
+        "shards": shards,
+        "spans": spans,
+        "trace_id": tracer.trace_id,
+    }
+    if remote:
+        doc["remote_spans"] = [dict(snapshot) for snapshot in remote]
     return doc
 
 
@@ -364,10 +258,7 @@ def chrome_trace(doc: Mapping) -> dict:
 
     # Remote snapshots render in a deterministic order regardless of
     # shard completion order: by shard index, then parent span id.
-    remote = sorted(
-        remote,
-        key=lambda s: (int(s.get("shard", 0)), str(s.get("parent_id", ""))),
-    )
+    remote = sorted(remote, key=_by_shard)
 
     starts: List[float] = []
 
@@ -581,10 +472,7 @@ def render_profile(doc: Mapping, top: int = 10) -> str:
         # named as remote parent (one causally-linked tree); forests
         # whose parent is gone (e.g. a trimmed document) list at root.
         by_parent: Dict[str, List[Tuple[int, Mapping]]] = {}
-        for snapshot in sorted(
-            doc.get("remote_spans", ()),
-            key=lambda s: (int(s.get("shard", 0)), str(s.get("parent_id", ""))),
-        ):
+        for snapshot in sorted(doc.get("remote_spans", ()), key=_by_shard):
             shard = int(snapshot.get("shard", 0))
             parent_id = str(snapshot.get("parent_id", ""))
             for node in snapshot.get("spans", ()):

@@ -1,9 +1,11 @@
 """One telemetry scope: the instruments the whole pipeline records into.
 
-A :class:`Telemetry` holds the five instruments of the observability
-layer — the metrics ``registry``, the span ``tracer``, the stage
-``profiler``, the ``flight`` recorder and the health ``monitor``; every
-part but the registry is optional (``None`` turns it off).  There is one
+A :class:`Telemetry` holds the four instruments of the observability
+layer — the metrics ``registry``, the span ``tracer``, the ``flight``
+recorder and the health ``monitor``; every part but the registry is
+optional (``None`` turns it off).  Profiling is a kind of tracing: a
+:class:`~repro.obs.profile.StageProfiler` in the tracer slot annotates
+every span with the CPU time and memory peaks of its region.  There is one
 process-level default (a registry and nothing else) and one context
 variable override: :func:`current` reads it, and :func:`scope` pushes a
 telemetry for the duration of a ``with`` block and restores the previous
@@ -11,14 +13,14 @@ one on exit, whatever the block raised.  A context variable is per
 thread, so a serve request thread's scope never leaks into its
 neighbours, and a thread that never entered one sees the default::
 
-    with scope(tracer=Tracer(), profiler=StageProfiler().start()):
+    with scope(tracer=StageProfiler().start()):
         encore.train(images, workers=2)     # every stage records here
 
 The same object is the shard wire contract.  :meth:`Telemetry.spec` is
 what a coordinator ships in a task frame (its trace context and whether
 it is profiling), :meth:`Telemetry.from_spec` is the scope a worker
 builds from it — a fresh registry, a tracer only if a context was
-shipped, a profiler only if profiling, never a flight recorder or a
+shipped (a profiler if profiling), never a flight recorder or a
 monitor — :meth:`Telemetry.snapshot` is what the worker ships back, and
 :meth:`Telemetry.merge` folds it into the coordinator's instruments.
 """
@@ -33,11 +35,10 @@ from typing import Any, Dict, Iterator, Mapping, Optional
 
 @dataclass(eq=False)
 class Telemetry:
-    """The registry, tracer, profiler, flight recorder and monitor in use."""
+    """The registry, tracer, flight recorder and monitor in use."""
 
     registry: "MetricsRegistry" = field(default_factory=lambda: MetricsRegistry())
     tracer: Any = None
-    profiler: Any = None
     flight: Any = None
     monitor: Any = None
 
@@ -46,12 +47,15 @@ class Telemetry:
 
         ``trace`` is the context a worker re-parents its span forest
         under (the innermost open span here); ``profile`` asks for a
-        worker profiler.  Empty when neither applies.
+        worker :class:`~repro.obs.profile.StageProfiler` in place of a
+        plain tracer.  Empty when not tracing.
         """
+        from repro.obs.profile import StageProfiler
+
         out: Dict[str, Any] = {}
         if self.tracer is not None:
             out["trace"] = self.tracer.propagated_context().to_dict()
-        if self.profiler is not None:
+        if isinstance(self.tracer, StageProfiler):
             out["profile"] = True
         return out
 
@@ -65,21 +69,21 @@ class Telemetry:
         from repro.obs.profile import StageProfiler
         from repro.obs.tracing import TraceContext, Tracer
 
-        tracer = None
-        if spec.get("trace"):
-            tracer = Tracer(context=TraceContext.from_dict(spec["trace"]), seed=seed)
-        profiler = StageProfiler().start() if spec.get("profile") else None
-        return cls(tracer=tracer, profiler=profiler)
+        if not spec.get("trace"):
+            return cls()
+        context = TraceContext.from_dict(spec["trace"])
+        if spec.get("profile"):
+            return cls(tracer=StageProfiler(context=context, seed=seed).start())
+        return cls(tracer=Tracer(context=context, seed=seed))
 
     def snapshot(self, **meta: object) -> Dict[str, Any]:
-        """The wire form a worker ships back: metrics, profile, spans.
+        """The wire form a worker ships back: metrics and spans.
 
-        ``profile`` and ``spans`` are present only when this telemetry
-        has a profiler / tracer; *meta* tags the span snapshot.
+        ``spans`` is present only when this telemetry has a tracer (a
+        profiler's spans carry their resource attributes); *meta* tags
+        the span snapshot.
         """
         out: Dict[str, Any] = {"metrics": self.registry.to_dict()}
-        if self.profiler is not None:
-            out["profile"] = self.profiler.to_dict()
         if self.tracer is not None:
             out["spans"] = self.tracer.snapshot(**meta)
         return out
@@ -88,13 +92,11 @@ class Telemetry:
         """Fold a worker :meth:`snapshot` into these instruments.
 
         Metrics always fold (a kind collision raises
-        :class:`~repro.obs.metrics.MetricKindError`); profile samples
-        and span forests fold only when this side profiles / traces.
+        :class:`~repro.obs.metrics.MetricKindError`); span forests
+        fold only when this side traces.
         """
         if data.get("metrics"):
             self.registry.merge(MetricsRegistry.from_dict(data["metrics"]))
-        if data.get("profile") and self.profiler is not None:
-            self.profiler.merge_dict(data["profile"])
         if data.get("spans") and self.tracer is not None:
             self.tracer.merge_remote(data["spans"])
 
@@ -118,7 +120,7 @@ def scope(telemetry: Optional[Telemetry] = None, **parts: Any) -> Iterator[Telem
 
     The scoped telemetry is *telemetry* (default: the current one) with
     the named *parts* replaced, so ``scope(tracer=t)`` keeps the current
-    registry, profiler, flight recorder and monitor, while
+    registry, flight recorder and monitor, while
     ``scope(Telemetry(tracer=t))`` holds only a fresh registry and *t*.
     Scopes nest; the previous one is restored on exit.
     """

@@ -10,8 +10,9 @@ child spans.  Instrumented code opens spans through the module-level
   even with tracing off;
 * the span *tree* is only retained when the current telemetry scope
   (:mod:`repro.obs.telemetry`) holds a :class:`Tracer` (the CLI's
-  ``--trace FILE`` puts one there), keeping memory flat for long-lived
-  processes.
+  ``--trace FILE`` puts one there; ``--profile`` puts a
+  :class:`~repro.obs.profile.StageProfiler`, a tracer whose spans also
+  carry resource use), keeping memory flat for long-lived processes.
 
 Every tracer carries a :class:`TraceContext` — ``trace_id`` /
 ``span_id`` / ``parent_id`` — and assigns each span a deterministic id
@@ -319,11 +320,6 @@ class Tracer:
 
         return atomic_write_text(path, self.to_json() + "\n")
 
-    def reset(self) -> None:
-        self.roots.clear()
-        self.remote.clear()
-        self._local = threading.local()
-
 
 class TraceExemplars:
     """Tail-based exemplar capture: keep the interesting traces in full.
@@ -401,11 +397,11 @@ def span(name: str, **attributes: object) -> Iterator[Span]:
             ...
             s.annotate(pairs=pair_count)
 
-    When the current telemetry holds a
+    A raising body still closes the span, annotated with
+    ``error=<exception type>``.  When the current tracer is a
     :class:`~repro.obs.profile.StageProfiler` (the CLI's ``--profile``),
-    the region's CPU time and memory peaks are sampled alongside the
-    wall clock; a raising body still closes the span, annotated with
-    ``error=<exception type>``.
+    closing the span also annotates it with the CPU time and memory
+    peaks of the region.
     """
     telemetry = current()
     tracer = telemetry.tracer
@@ -416,18 +412,12 @@ def span(name: str, **attributes: object) -> Iterator[Span]:
         clock = time.perf_counter
         opened = Span(name, dict(attributes))
         opened.start = clock()
-    profiler = telemetry.profiler
-    profile_cm = profiler.profile(name) if profiler is not None else None
-    if profile_cm is not None:
-        profile_cm.__enter__()
     try:
         yield opened
     except BaseException as exc:
         opened.annotate(error=type(exc).__name__)
         raise
     finally:
-        if profile_cm is not None:
-            profile_cm.__exit__(None, None, None)
         if tracer is not None:
             tracer.close_span(opened)
         else:

@@ -3,7 +3,9 @@
 A fixed canonical workload — ``Ec2CorpusGenerator(seed=42)``, 40
 training images, 10 checked targets (every other one carrying
 ConfErr-injected errors) — is trained and checked at ``workers=1`` and
-``workers=2``.  Three digests must equal ``data/canonical_digests.json``:
+``workers=2``, without a result cache and with one (cold, then warm on
+the same directory).  Three digests must equal
+``data/canonical_digests.json``:
 
 * ``ruleset_digest`` — the serialised rule set, provenance included;
 * ``inference`` — every candidate's filter decision and provenance
@@ -23,7 +25,9 @@ import pytest
 
 from repro.core.pipeline import EnCore
 from repro.corpus.generator import Ec2CorpusGenerator
+from repro.engine.cache import ResultCache
 from repro.injection.conferr import ConfErrInjector
+from repro.obs.telemetry import Telemetry, scope
 
 GOLDEN = Path(__file__).parent / "data" / "canonical_digests.json"
 
@@ -61,8 +65,9 @@ def inference_digest(result) -> str:
     ])
 
 
-def canonical_digests(workers: int) -> dict:
+def canonical_digests(workers: int, cache=None) -> dict:
     encore = EnCore()
+    encore.set_cache(cache)
     model = encore.train(
         Ec2CorpusGenerator(seed=SEED).generate(TRAINING_IMAGES), workers=workers
     )
@@ -83,6 +88,20 @@ def test_canonical_digests_unchanged(workers):
     actual = canonical_digests(workers)
     assert actual["reports"] == expected["reports"]
     assert actual == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_canonical_digests_with_result_cache(workers, tmp_path):
+    """Rows served from the cache give the same rules and reports."""
+    expected = json.loads(GOLDEN.read_text())
+    hits = []
+    for _run in ("cold", "warm"):
+        with scope(Telemetry()) as telemetry:
+            actual = canonical_digests(workers, ResultCache(tmp_path))
+        assert actual == expected
+        hits.append(telemetry.registry.total("cache.hit.total"))
+    # The warm run assembles every training image and target from disk.
+    assert hits == [0, TRAINING_IMAGES + TARGETS]
 
 
 def test_canonical_targets_raise_warnings():

@@ -27,9 +27,9 @@ from repro.engine import (
 from repro.engine import codec
 from repro.engine.artifacts import ShardResult
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import StageProfiler
+from repro.obs.profile import StageProfiler, profile_document
 from repro.obs.telemetry import Telemetry, scope
-from repro.obs.tracing import Tracer, span
+from repro.obs.tracing import span
 
 
 @pytest.fixture(scope="module")
@@ -308,22 +308,21 @@ class TestArtifacts:
         assert [r.warnings for r in restored.reports] == [
             r.warnings for r in check.reports
         ]
-        # metrics, profile and spans share one telemetry field and
+        # metrics and profiled spans share one telemetry field and
         # survive the worker→coordinator hop together
-        with scope(Telemetry(tracer=Tracer(), profiler=StageProfiler())) as shard:
-            with span("assemble.image"):
-                shard.registry.counter("assemble.systems.total").inc(2)
-            with shard.profiler.shard("assemble", 0, items=2):
-                pass
+        with scope(Telemetry(tracer=StageProfiler())) as shard:
+            with shard.tracer.span("assemble.shard", shard=0, items=2):
+                with span("assemble.image"):
+                    shard.registry.counter("assemble.systems.total").inc(2)
         worker = ShardResult(telemetry=shard.snapshot(shard=0))
-        assert set(worker.telemetry) == {"metrics", "profile", "spans"}
+        assert set(worker.telemetry) == {"metrics", "spans"}
         restored = ShardResult.from_bytes(worker.to_bytes())
         assert restored.telemetry == worker.telemetry
-        folded = Telemetry(tracer=Tracer(), profiler=StageProfiler())
+        folded = Telemetry(tracer=StageProfiler())
         folded.merge(restored.telemetry)
         assert folded.registry.total("assemble.systems.total") == 2
-        assert [s["items"] for s in folded.profiler.shards] == [2]
-        assert folded.tracer.remote[0]["spans"][0]["name"] == "assemble.image"
+        assert [s["items"] for s in profile_document(folded.tracer)["shards"]] == [2]
+        assert folded.tracer.remote[0]["spans"][0]["name"] == "assemble.shard"
 
     def test_report_round_trip(self, small_corpus, serial_model, held_out_image):
         encore, _ = serial_model

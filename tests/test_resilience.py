@@ -28,7 +28,7 @@ from repro.corpus.generator import Ec2CorpusGenerator
 from repro.engine.sharding import RECOVERABLE
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import StageProfiler
+from repro.obs.profile import StageProfiler, profile_document
 from repro.obs.telemetry import current, scope
 from repro.obs.tracing import Tracer
 from repro.parsers.base import ConfigParseError
@@ -355,8 +355,9 @@ class TestWorkerCrashRecovery:
         """Restricted sandboxes: every shard runs through run_shard in-process.
 
         A shard's telemetry scope never displaces the caller's: the
-        caller's profiler and tracer are still current afterwards, and
-        each shard's sample and span forest folds into them exactly once.
+        caller's profiler (its tracer) is still current afterwards, and
+        each shard's span forest folds into it exactly once, giving one
+        shard row per shard.
         Like a pool worker, the shard records nothing into the caller's
         flight recorder.
         """
@@ -370,17 +371,16 @@ class TestWorkerCrashRecovery:
         reference = _serial_reference(stage, encore, corpus[:8])
         monkeypatch.setattr(sharding, "get_warm_pool", lambda workers: NoPool())
         monkeypatch.setattr(pool, "_worker_state", {})
-        profiler = StageProfiler(trace_allocations=False)
-        tracer = Tracer()
+        tracer = StageProfiler()
         flight = FlightRecorder()
-        with scope(profiler=profiler, tracer=tracer, flight=flight):
+        with scope(tracer=tracer, flight=flight):
             assert _sharded(stage, encore, corpus[:8], chunk_size=4) == reference
-            assert current().profiler is profiler
             assert current().tracer is tracer
         kind = "assemble" if stage == "train" else "check"
         recorded = {entry["name"] for entry in flight.to_dict()["spans"]}
         assert recorded and f"{kind}.shard" not in recorded
-        assert [(s["stage"], s["shard"], s["items"]) for s in profiler.shards] == [
+        shards = profile_document(tracer)["shards"]
+        assert [(s["stage"], s["shard"], s["items"]) for s in shards] == [
             (kind, 0, 4), (kind, 1, 4),
         ]
         assert [(snapshot["shard"], snapshot["spans"][0]["name"])
